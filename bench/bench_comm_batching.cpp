@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,6 @@
 #include "engine/backend.hpp"
 #include "geom/scenes.hpp"
 #include "mp/minimpi.hpp"
-#include "par/dist.hpp"
-#include "par/hybrid.hpp"
-#include "par/spatial.hpp"
 #include "perf/platform.hpp"
 
 using namespace photon;
@@ -117,19 +115,20 @@ Row run_backend(const Scene& scene, const std::string& scene_name,
   if (backend == "hybrid") {
     cfg.groups = P;
     cfg.workers = threads;
-    // Hybrid's `batch` is the GLOBAL ids-per-window size; the flat backends
-    // trace `batch` per rank per round. Scale so every backend exchanges
-    // after the same number of photons — the rows' per-round columns
-    // (msg/batch, wait_s, overlap%) compare like for like.
-    cfg.batch = batch * static_cast<std::uint64_t>(P);
   } else {
-    cfg.workers = P;
+    cfg.workers = P;  // dist-particle: P one-thread groups; dist-spatial: P ranks
   }
+  if (backend != "dist-spatial") {
+    // Hybrid's (and so dist-particle's) `batch` is the GLOBAL ids-per-window
+    // size; dist-spatial traces `batch` per rank per round. Scale so every
+    // backend exchanges after the same number of photons — the rows'
+    // per-round columns (msg/batch, wait_s, overlap%) compare like for like.
+    cfg.batch = batch * static_cast<std::uint64_t>(P);
+  }
+  const std::unique_ptr<Backend> runner = make_backend(backend);
   Row best;
   for (int rep = 0; rep < reps; ++rep) {
-    const RunResult r = backend == "dist-particle" ? run_distributed(scene, cfg)
-                        : backend == "hybrid"      ? run_hybrid(scene, cfg)
-                                                   : run_spatial(scene, cfg);
+    const RunResult r = runner->run(scene, cfg, nullptr);
     Row row;
     row.scene = scene_name;
     row.backend = backend;

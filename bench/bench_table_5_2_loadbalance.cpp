@@ -1,15 +1,17 @@
 // Table 5.2 (dissertation) / Table 1 (appendix): total photons processed per
 // processor, naive load balancing vs Best-Fit bin packing, 8 processors.
 //
-// Runs the real distributed algorithm (MiniMPI) twice on the Harpsichord
-// Practice Room — identical photon streams, only the ownership assignment
-// differs — and reports each rank's tally-update count in thousands, exactly
-// the quantity the paper tabulates.
+// Runs the real distributed algorithm (the `dist-particle` backend on
+// MiniMPI) twice on the Harpsichord Practice Room — identical photon
+// streams, only the ownership assignment differs — and reports each rank's
+// tally-update count in thousands, exactly the quantity the paper
+// tabulates.
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hpp"
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
-#include "par/dist.hpp"
 
 using namespace photon;
 
@@ -21,15 +23,14 @@ int main(int argc, char** argv) {
 
   RunConfig cfg;
   cfg.photons = photons;
-  cfg.adapt_batch = false;
-  cfg.batch = 1000;
+  cfg.batch = 1000 * P;  // the global window: 1000 photons per rank
+  cfg.workers = P;
 
+  const std::unique_ptr<Backend> dist = make_backend("dist-particle");
   cfg.bestfit = false;
-  cfg.workers = P;
-  const RunResult naive = run_distributed(scene, cfg);
+  const RunResult naive = dist->run(scene, cfg, nullptr);
   cfg.bestfit = true;
-  cfg.workers = P;
-  const RunResult packed = run_distributed(scene, cfg);
+  const RunResult packed = dist->run(scene, cfg, nullptr);
 
   // Paper's Table 5.2 columns (thousands of photons).
   const double paper_naive[] = {47.9, 34.5, 35.6, 25.6, 32.7, 24.9, 35.1, 32.8};

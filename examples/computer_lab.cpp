@@ -1,14 +1,16 @@
 // The Computer Laboratory (Fig 5.1) simulated with the *distributed-memory*
-// algorithm of Fig 5.3 on MiniMPI ranks: replicated geometry, partitioned bin
-// forest, Best-Fit load balancing, batched all-to-all photon exchange — then
-// rendered from the gathered answer on rank 0.
+// algorithm of Fig 5.3 — the `dist-particle` backend, on MiniMPI ranks:
+// replicated geometry, partitioned bin forest, Best-Fit load balancing,
+// batched all-to-all record exchange — then rendered from the gathered
+// answer on rank 0.
 //
 // Usage: computer_lab [photons] [ranks]     (default 200000 photons, 4 ranks)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
-#include "par/dist.hpp"
 #include "view/viewer.hpp"
 
 int main(int argc, char** argv) {
@@ -23,9 +25,8 @@ int main(int argc, char** argv) {
 
   RunConfig config;
   config.photons = photons;
-  config.adapt_batch = true;
   config.workers = ranks;
-  const RunResult result = run_distributed(scene, config);
+  const RunResult result = make_backend("dist-particle")->run(scene, config, nullptr);
 
   std::printf("\nper-rank report (Fig 5.3 algorithm):\n");
   std::printf("%5s %10s %12s %12s %10s\n", "rank", "traced", "tallied", "sent bytes", "batches");

@@ -21,7 +21,10 @@
 //       dist-particle | dist-spatial | hybrid) and write the answer file,
 //       optionally checkpointing so long runs can continue later. The hybrid
 //       backend runs --groups message-passing groups of --workers threads
-//       each. The --split-* flags set the adaptive-histogram SplitPolicy
+//       each; shared is hybrid at one group of --workers threads and
+//       dist-particle at --workers groups of one thread. --adapt (Table 5.3
+//       adaptive batching) is serial-only; other backends reject it. The
+//       --split-* flags set the adaptive-histogram SplitPolicy
 //       (significance threshold in sigma, minimum count before testing,
 //       count-driven leaf threshold and its per-depth growth); --max-bounces
 //       guards pathological mirror corridors. --trace streams the per-batch
@@ -43,9 +46,9 @@
 //       seconds (plus a grace of --watchdog-grace, default S again) declares
 //       the run wedged — emergency checkpoint, typed abort with exit code 6,
 //       never a hang. --memory-budget=B admits the run only under the
-//       degradation ladder (shrink sink buffers, then coarsen accel leaves,
-//       then refuse with exit 9) and stops the run gracefully (exit 9,
-//       resumable) if the forest footprint crosses B mid-run.
+//       degradation ladder (coarsen accel leaves, then refuse with exit 9)
+//       and stops the run gracefully (exit 9, resumable) if the forest
+//       footprint crosses B mid-run.
 //
 //       Exit codes (core/error.hpp): 0 ok, 1 generic I/O, 2 usage,
 //       3 checkpoint rejected, 4 comm failure beyond recovery,
@@ -358,8 +361,9 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
   config.seed = args.u64("seed", config.seed);
   // Validate before the int narrowing: a 2^32+1 request must error, not
   // silently wrap to 1 worker.
-  const std::uint64_t workers_arg = args.u64("workers", 2);
-  const std::uint64_t groups_arg = args.u64("groups", 2);
+  const std::uint64_t workers_arg =
+      args.u64("workers", static_cast<std::uint64_t>(config.workers));
+  const std::uint64_t groups_arg = args.u64("groups", static_cast<std::uint64_t>(config.groups));
   if (workers_arg < 1 || workers_arg > 4096 || groups_arg < 1 || groups_arg > 4096) {
     throw ConfigError("--workers and --groups must be in [1, 4096]");
   }
@@ -389,6 +393,13 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
     throw ConfigError("--max-bounces must be <= 512 (per-photon RNG blocks are 4096 draws)");
   }
   config.adapt_batch = args.flag("adapt");
+  if (config.adapt_batch && backend->name() != "serial") {
+    // Adaptive windows are sized from wall-clock rates; every backend but
+    // serial runs a fixed window schedule, so silently ignoring the flag
+    // would misreport what ran.
+    throw ConfigError("--adapt is serial-only (backend '" + backend->name() +
+                      "' runs fixed --batch windows)");
+  }
 
   // Fault-tolerance knobs: all runs route through run_elastic, which is a
   // plain backend->run() when none of these are set.
@@ -429,16 +440,13 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
   const std::string stop_path = ckpt_path ? *ckpt_path : answer + ".ckpt";
   config.emergency_checkpoint_path = stop_path;
 
-  // Memory admission (engine/governor.hpp): degrade in the documented
-  // bitwise-neutral order or refuse with a typed ResourceError before any
-  // photon is traced.
+  // Memory admission (engine/governor.hpp): degrade bitwise-neutrally or
+  // refuse with a typed ResourceError before any photon is traced.
   if (config.memory_budget != 0) {
     const AdmissionPlan plan = govern_admission(scene, config);
-    config.sink_buffer = plan.sink_buffer;
-    if (!json_report && (plan.shrank_buffers || plan.coarsened_accel)) {
-      std::printf("memory budget: degraded admission (%s%s~%llu bytes planned)\n",
-                  plan.shrank_buffers ? "shrank sink buffers, " : "",
-                  plan.coarsened_accel ? "coarsened accel leaves, " : "",
+    if (!json_report && plan.coarsened_accel) {
+      std::printf("memory budget: degraded admission (coarsened accel leaves, ~%llu bytes "
+                  "planned)\n",
                   static_cast<unsigned long long>(plan.estimated_bytes));
     }
   }

@@ -4,9 +4,7 @@
 #include <map>
 #include <mutex>
 
-#include "par/dist.hpp"
 #include "par/hybrid.hpp"
-#include "par/shared.hpp"
 #include "par/spatial.hpp"
 #include "sim/simulator.hpp"
 
@@ -24,29 +22,6 @@ class SerialBackend final : public Backend {
   }
 };
 
-class SharedBackend final : public Backend {
- public:
-  std::string name() const override { return "shared"; }
-  bool supports_resume() const override { return true; }
-  RunResult run(const Scene& scene, const RunConfig& config,
-                const RunResult* resume) override {
-    return run_shared(scene, config, resume);
-  }
-};
-
-class DistParticleBackend final : public Backend {
- public:
-  std::string name() const override { return "dist-particle"; }
-  // Resume folds the checkpoint into the partitioned trees (BinForest merge)
-  // and continues on a disjoint RNG block — statistically independent, not
-  // the bitwise continuation serial guarantees.
-  bool supports_resume() const override { return true; }
-  RunResult run(const Scene& scene, const RunConfig& config,
-                const RunResult* resume) override {
-    return run_distributed(scene, config, resume);
-  }
-};
-
 class DistSpatialBackend final : public Backend {
  public:
   std::string name() const override { return "dist-spatial"; }
@@ -59,17 +34,33 @@ class DistSpatialBackend final : public Backend {
   }
 };
 
+// hybrid, and the registry aliases that run it at a fixed shape: `shared` is
+// one group of `workers` threads (Fig 5.2), `dist-particle` is `workers`
+// groups of one thread each (Fig 5.3). The aliases ignore `groups`.
 class HybridBackend final : public Backend {
  public:
-  std::string name() const override { return "hybrid"; }
+  enum class Shape { kConfigured, kOneGroup, kOneWorker };
+
+  HybridBackend(std::string name, Shape shape) : name_(std::move(name)), shape_(shape) {}
+
+  std::string name() const override { return name_; }
   // Resume folds the checkpoint into the partitioned trees and continues the
-  // per-photon id sequence; when the first leg ended on a batch-window
-  // boundary the continuation is bitwise identical to an uninterrupted run.
+  // per-photon id sequence: bitwise identical to an uninterrupted run, at
+  // any shape.
   bool supports_resume() const override { return true; }
   RunResult run(const Scene& scene, const RunConfig& config,
                 const RunResult* resume) override {
-    return run_hybrid(scene, config, resume);
+    if (shape_ == Shape::kConfigured) return run_hybrid(scene, config, resume);
+    RunConfig shaped = config;
+    const int width = std::max(config.workers, 1);
+    shaped.groups = shape_ == Shape::kOneGroup ? 1 : width;
+    shaped.workers = shape_ == Shape::kOneGroup ? width : 1;
+    return run_hybrid(scene, shaped, resume);
   }
+
+ private:
+  std::string name_;
+  Shape shape_;
 };
 
 std::mutex& registry_mutex() {
@@ -80,10 +71,15 @@ std::mutex& registry_mutex() {
 std::map<std::string, BackendFactory>& factory_map() {
   static std::map<std::string, BackendFactory> factories = {
       {"serial", [] { return std::make_unique<SerialBackend>(); }},
-      {"shared", [] { return std::make_unique<SharedBackend>(); }},
-      {"dist-particle", [] { return std::make_unique<DistParticleBackend>(); }},
+      {"shared",
+       [] { return std::make_unique<HybridBackend>("shared", HybridBackend::Shape::kOneGroup); }},
+      {"dist-particle",
+       [] {
+         return std::make_unique<HybridBackend>("dist-particle", HybridBackend::Shape::kOneWorker);
+       }},
       {"dist-spatial", [] { return std::make_unique<DistSpatialBackend>(); }},
-      {"hybrid", [] { return std::make_unique<HybridBackend>(); }},
+      {"hybrid",
+       [] { return std::make_unique<HybridBackend>("hybrid", HybridBackend::Shape::kConfigured); }},
   };
   return factories;
 }

@@ -1,18 +1,25 @@
-// The pluggable execution layer: one photon pipeline, four decompositions.
+// The pluggable execution layer: one photon pipeline, three decompositions.
 //
 // Every backend runs the same hierarchical-histogram simulation — emit,
 // trace, tally into the adaptive bin forest — and differs only in how the
 // work and the forest are decomposed:
 //
 //   serial        one thread, the paper's "best serial version" baseline
-//   shared        shared-memory forall loop with per-tree locks (Fig 5.2)
-//   dist-particle replicated geometry, partitioned forest, batched
-//                 all-to-all record exchange (Fig 5.3)
-//   dist-spatial  partitioned geometry; photons migrate between region
-//                 owners (chapter 6, "Massive Parallelism")
 //   hybrid        message passing between groups, shared memory within them
 //                 (the paper's cluster-of-multiprocessors target): groups ×
 //                 workers threads, bitwise shape-invariant (par/hybrid.hpp)
+//   shared        hybrid at one group of `workers` threads: the
+//                 shared-memory forall loop (Fig 5.2)
+//   dist-particle hybrid at `workers` groups of one thread: replicated
+//                 geometry, partitioned forest, batched all-to-all record
+//                 exchange (Fig 5.3)
+//   dist-spatial  partitioned geometry; photons migrate between region
+//                 owners (chapter 6, "Massive Parallelism")
+//
+// `shared` and `dist-particle` are registry aliases: they take `workers`
+// as their width, ignore `groups`, and run hybrid at the shape above — so
+// they inherit its bitwise contract (equal to the serial photon-stream
+// reference, resume bitwise at any width).
 //
 // Backends are selected by name through make_backend(); additional backends
 // can be registered at runtime with register_backend(). Every registered
@@ -36,30 +43,20 @@
 
 namespace photon {
 
-// Per-worker report. The first block is filled by the particle
-// decompositions, the second by the spatial decomposition; unused fields stay
-// zero.
+// Per-rank report. The first block is filled by hybrid (one entry per
+// group), the second by the spatial decomposition; unused fields stay zero.
 struct RankReport {
   std::uint64_t traced = 0;     // photons generated and traced by this rank
   std::uint64_t processed = 0;  // tally updates performed (Table 5.2 metric)
   std::uint64_t sent_bytes = 0;
   std::uint64_t sent_messages = 0;
   std::uint64_t rounds = 0;     // exchange rounds executed
-  // Wall time blocked in recv on the overlapped record exchange only (the
-  // overlap metric) — synchronous photon migration and the tree gather ride
-  // other tags, and collective skew lives in the allreduce barriers.
+  // Wall time blocked in recv on the record exchange only — dist-spatial's
+  // photon migration and the tree gather ride other tags, and collective
+  // skew lives in the allreduce barriers.
   double wait_seconds = 0.0;
   std::vector<std::uint64_t> batch_sizes;
   TraceCounters counters;
-
-  // Exact generator state of this rank's leapfrogged stream at the end of
-  // the run (dist-particle). Checkpointed so a resume at the same rank count
-  // restores each stream in place — the bitwise continuation. Zero when the
-  // backend has no per-rank stream (spatial/hybrid photons carry their own
-  // disjoint blocks and need no state).
-  std::uint64_t rng_state = 0;
-  std::uint64_t rng_mul = 0;
-  std::uint64_t rng_add = 0;
 
   // Spatial decomposition (chapter 6).
   std::uint64_t local_patches = 0;    // patches overlapping this rank's region
@@ -88,12 +85,10 @@ struct RecoveryStats {
 };
 
 // Scheduler telemetry from the persistent worker pool (engine/pool.hpp):
-// how the chunk grid actually landed on the workers. Supersedes the bare
-// `per_thread_traced` vector as the Table 5.2 imbalance observable — with
-// dynamic stealing, *chunks executed* and *steals performed* per worker are
-// the interesting skew numbers, not just photon totals. For `shared` the
-// slots are worker threads; for `hybrid` slot group*workers+tid is thread
-// tid of group `group` (the group×thread extension ROADMAP asks for).
+// how the chunk grid actually landed on the workers — the Table 5.2
+// imbalance observable. With dynamic stealing, *chunks executed* and
+// *steals performed* per worker are the interesting skew numbers, not just
+// photon totals. Slot group*workers+tid is thread tid of group `group`.
 struct PoolTelemetry {
   std::uint64_t chunk_size = 0;  // photons per scheduling chunk
   std::uint64_t chunks = 0;      // chunks executed across the run
@@ -119,12 +114,11 @@ struct RunResult {
   std::uint64_t rng_mul = 0;
   std::uint64_t rng_add = 0;
 
-  std::vector<std::uint64_t> per_thread_traced;  // shared (== pool.worker_photons)
-  PoolTelemetry pool;                            // shared, hybrid
-  std::vector<RankReport> ranks;                 // dist-particle, dist-spatial
-  LoadBalance balance;                           // dist-particle
-  std::vector<Aabb> regions;                     // dist-spatial
-  RecoveryStats recovery;                        // filled by run_elastic
+  PoolTelemetry pool;             // hybrid
+  std::vector<RankReport> ranks;  // hybrid, dist-spatial
+  LoadBalance balance;            // hybrid
+  std::vector<Aabb> regions;      // dist-spatial
+  RecoveryStats recovery;         // filled by run_elastic
 
   // How a governed run ended (engine/governor.hpp). kComplete unless
   // config.governed and the run stopped early at a window boundary; a
@@ -141,9 +135,8 @@ class Backend {
 
   // Whether run() honors `resume`: adopting the forest, counters and RNG
   // state of a previous result and simulating config.photons *additional*
-  // photons. `serial` and the photon-stream backends (`shared`, `hybrid` at
-  // window boundaries) guarantee the continuation is bitwise identical to an
-  // uninterrupted run.
+  // photons. `serial` and `hybrid` (with its shapes) guarantee the
+  // continuation is bitwise identical to an uninterrupted run.
   virtual bool supports_resume() const { return false; }
 
   virtual RunResult run(const Scene& scene, const RunConfig& config,

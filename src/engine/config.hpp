@@ -1,16 +1,13 @@
 // The unified simulation configuration.
 //
-// One RunConfig drives every backend (serial, shared, dist-particle,
-// dist-spatial); fields a backend does not use are simply ignored. This
-// supersedes the seed's four per-substrate config structs, which had drifted
-// copies of the same knobs.
+// One RunConfig drives every backend (serial, hybrid and its `shared` and
+// `dist-particle` shapes, dist-spatial); fields a backend does not use are
+// simply ignored. This supersedes the seed's four per-substrate config
+// structs, which had drifted copies of the same knobs.
 //
-// Unification note: defaults are now backend-independent, which changed two
-// of them relative to the old DistConfig/SpatialConfig — the distributed
-// backends previously defaulted to adaptive batching with a 2000-photon
-// fixed fallback; RunConfig defaults to fixed 10000-photon batches
-// everywhere. Callers that want the chapter-5 adaptive behavior must set
-// adapt_batch (and usually a smaller `batch`) explicitly.
+// Defaults are backend-independent: fixed 10000-photon batches everywhere.
+// The chapter-5 adaptive batching is serial-only (adapt_batch, usually with
+// a smaller `batch`).
 #pragma once
 
 #include <cstdint>
@@ -30,50 +27,45 @@ struct RunConfig {
   std::uint64_t photons = 100000;  // total across all workers
   std::uint64_t seed = 0x1234ABCD330EULL;
 
-  // Parallel width: threads for `shared`, ranks for `dist-particle` and
-  // `dist-spatial`, threads per group for `hybrid`. Ignored by `serial`.
+  // Parallel width: threads per group for `hybrid`, the one group's threads
+  // for `shared`, the single-thread groups of `dist-particle`, the ranks of
+  // `dist-spatial`. Ignored by `serial`.
   int workers = 2;
 
   // Message-passing groups for the `hybrid` backend (groups × workers total
   // threads: each MiniMPI rank is one multiprocessor "box" running `workers`
-  // shared-memory threads). Ignored by every other backend.
+  // shared-memory threads). Ignored by every other backend: `shared` and
+  // `dist-particle` fix it from `workers` (engine/backend.hpp).
   int groups = 1;
 
   // serial: draw each photon from its own disjoint 4096-element RNG block
-  // (par/spatial's photon_stream) instead of one continuous stream. This is
-  // the bitwise reference the shape-invariant backends (`hybrid`,
-  // `dist-spatial`@1) are pinned against: photon i's path no longer depends
-  // on how many draws photons 0..i-1 consumed, so any decomposition of the
-  // id space can reproduce it exactly.
+  // (core/rng.hpp photon_stream) instead of one continuous stream. This is
+  // the bitwise reference the shape-invariant backends (`hybrid` and its
+  // shapes, `dist-spatial`@1) are pinned against: photon i's path no longer
+  // depends on how many draws photons 0..i-1 consumed, so any decomposition
+  // of the id space can reproduce it exactly.
   bool photon_streams = false;
 
-  // Leapfrog substream for `serial` (rank of nranks); (0, 1) is the plain
-  // serial stream. Lets a serial run reproduce one rank of a parallel run.
-  int rank = 0;
-  int nranks = 1;
-
   // Batching. `batch` is the fixed batch size: photons per batch for serial,
-  // per rank per round for dist-particle/dist-spatial, and the GLOBAL ids
-  // per window for hybrid (shared by all groups — shape-independent, which
+  // per rank per round for dist-spatial, and the GLOBAL ids per window for
+  // hybrid and its shapes (shared by all groups — shape-independent, which
   // is what makes hybrid's schedule, and so its result, bitwise invariant).
-  // When `adapt_batch` is set, the engine's BatchController adapts the size
-  // to the measured rate instead (chapter 5, "Communication vs.
-  // Computation"); hybrid ignores adapt_batch (par/hybrid.hpp).
+  // When `adapt_batch` is set, serial's BatchController adapts the size to
+  // the measured rate instead (chapter 5, "Communication vs. Computation");
+  // every other backend ignores it and photon_cli rejects it for them.
   std::uint64_t batch = 10000;
   bool adapt_batch = false;
   BatchPolicy batch_policy{};
 
-  // Photons per scheduling chunk for the pool-backed threaded backends
-  // (shared, hybrid): the photon-id range is cut into `chunk`-photon chunks
-  // that idle workers claim/steal dynamically (engine/pool.hpp). Purely a
-  // scheduling grain — per-chunk record buffers drain in ascending chunk
-  // order, so the populated forest is bitwise identical for ANY chunk size,
-  // worker count, or steal interleaving. Clamped to >= 1.
+  // Photons per scheduling chunk for the pool-backed hybrid backend and its
+  // shapes: the photon-id range is cut into `chunk`-photon chunks that idle
+  // workers claim/steal dynamically (engine/pool.hpp). Purely a scheduling
+  // grain — per-chunk record buffers apply in ascending chunk order, so the
+  // populated forest is bitwise identical for ANY chunk size, worker count,
+  // or steal interleaving. Clamped to >= 1.
   std::uint64_t chunk = 64;
 
-  double max_seconds = 0.0;         // serial: stop after this much wall time when > 0
-  double sample_interval_s = 0.05;  // shared: speed-trace sampling period (legacy; the
-                                    // pool-backed loop samples once per batch window)
+  double max_seconds = 0.0;  // serial: stop after this much wall time when > 0
 
   // When non-empty, every speed-trace point — and, for serial, every
   // bin-forest memory point — streams to this file (JSONL, one point per
@@ -84,13 +76,8 @@ struct RunConfig {
   // trace.
   std::string trace_path;
 
-  // shared: BounceRecords buffered per worker before a per-tree batched flush
-  // (engine/sink.hpp). 1 collapses to one lock per record; values are clamped
-  // to >= 1. Buffering never changes any single tree's record order, so
-  // shared@1 stays bitwise identical to serial at any threshold.
-  std::uint64_t sink_buffer = 256;
-
-  // dist-particle load balancing: probe photons (k) and assignment strategy.
+  // Hybrid load balancing across groups: probe photons (k) and assignment
+  // strategy. Unused at one group, which owns every tree.
   std::uint64_t lb_photons = 2000;
   bool bestfit = true;  // false: naive contiguous ownership
 
@@ -104,8 +91,8 @@ struct RunConfig {
   TraceLimits limits{};
 
   // --- Fault tolerance (mp/fault.hpp; engine/recovery.hpp) ----------------
-  // Scripted fault injection for the MiniMPI world the distributed backends
-  // run in. Shared (not owned per run) so a consumed fault stays consumed
+  // Scripted fault injection for the MiniMPI world the message-passing
+  // backends run in. Shared (not owned per run) so a consumed fault stays consumed
   // across the elastic runner's recovery legs. Null disables injection.
   std::shared_ptr<FaultPlan> fault_plan;
   // Deadline/heartbeat policy for every blocking MiniMPI path. The default
@@ -116,7 +103,8 @@ struct RunConfig {
   // Elastic-runner leg size: run_elastic cuts the run into legs of this many
   // photons, holding the last completed leg's RunResult as the in-memory
   // checkpoint a recovery rewinds to. Rounded down to a whole number of
-  // `batch` windows (hybrid resume is bitwise only at window boundaries).
+  // `batch` windows, so a governed stop and a leg end fall on the same
+  // boundaries.
   // 0 = one leg (no intermediate checkpoints: a failure re-traces the run).
   std::uint64_t checkpoint_photons = 0;
   // World failures tolerated before run_elastic gives up and rethrows.
@@ -125,7 +113,7 @@ struct RunConfig {
   // --- Run governance (engine/governor.hpp) -------------------------------
   // Governed runs poll the preempt flag and the memory budget at window
   // boundaries and stop gracefully with a non-kComplete RunStatus. Off by
-  // default: governance adds one allreduce per window on the distributed
+  // default: governance adds one allreduce per window on the message-passing
   // backends, and collectives must be unconditional across ranks — so the
   // flag must be identical on every rank of a world (the CLI always sets it;
   // library callers opt in).
@@ -136,7 +124,7 @@ struct RunConfig {
   double watchdog_s = 0.0;
   double watchdog_grace_s = 0.0;  // 0 = same as watchdog_s
   // Planning + runtime memory budget in bytes (0 = unlimited). Admission
-  // applies the degradation ladder (govern_admission); governed runs also
+  // coarsens the accel or refuses the run (govern_admission); governed runs also
   // stop with RunStatus::kOverBudget when the summed forest footprint
   // crosses it mid-run.
   std::uint64_t memory_budget = 0;

@@ -229,6 +229,25 @@ void progress_tick(const RunConfig& config, const char* label, std::uint64_t det
   Progress::instance().tick(label, detail);
 }
 
+RunStatus governed_stop(const RunConfig& config, const BinForest& forest, Comm* comm) {
+  if (!config.governed) return RunStatus::kComplete;
+  bool preempted = preempt_requested(config);
+  bool over_budget = config.memory_budget != 0 && forest.memory_bytes() > config.memory_budget;
+  if (comm) {
+    // Unconditional on every rank: MiniMPI collectives pair anonymously, so
+    // a rank skipping it would mispair another rank's barrier.
+    const std::uint64_t sum =
+        comm->allreduce_sum_u64(encode_stop_word(preempted, forest.memory_bytes()));
+    preempted = stop_word_preempted(sum);
+    over_budget = stop_word_over_budget(sum, config.memory_budget);
+  }
+  if (preempted) {
+    acknowledge_preempt(config);  // idempotent across ranks
+    return RunStatus::kPreempted;
+  }
+  return over_budget ? RunStatus::kOverBudget : RunStatus::kComplete;
+}
+
 std::string ProgressSnapshot::to_string() const {
   std::ostringstream out;
   out << "progress: " << total_ticks << " ticks, stalled " << stalled_s << "s";
@@ -347,14 +366,10 @@ ProgressSnapshot Watchdog::wedged_snapshot() const {
 
 // ---- Memory budget ---------------------------------------------------------
 
-namespace {
-
-// Planning-time footprint: the built accel, a virgin forest, and the batch
-// buffer high-water estimate (per-window wire bytes plus the per-worker sink
-// buffers). Coarse by design — the runtime forest growth is governed by the
-// stop word, not by this estimate.
-std::uint64_t estimate_bytes(const Scene& scene, const RunConfig& config,
-                             std::uint64_t sink_buffer) {
+// Planning-time footprint: the built accel, a virgin forest, and the
+// per-window wire bytes. Coarse by design — the runtime forest growth is
+// governed by the stop word, not by this estimate.
+std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config) {
   const int width = std::max(config.workers, 1) * std::max(config.groups, 1);
   const std::uint64_t accel = scene.accel().memory_bytes();
   const std::uint64_t forest =
@@ -362,33 +377,16 @@ std::uint64_t estimate_bytes(const Scene& scene, const RunConfig& config,
   const std::uint64_t batch = std::max<std::uint64_t>(config.batch, 1);
   const std::uint64_t wire =
       static_cast<std::uint64_t>(width) * batch * sizeof(WireRecord);
-  const std::uint64_t sinks = static_cast<std::uint64_t>(width) * sink_buffer *
-                              sizeof(BounceRecord);
-  return accel + forest + wire + sinks;
-}
-
-}  // namespace
-
-std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config,
-                                       std::uint64_t sink_buffer) {
-  return estimate_bytes(scene, config, std::max<std::uint64_t>(sink_buffer, 1));
+  return accel + forest + wire;
 }
 
 AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   AdmissionPlan plan;
-  plan.sink_buffer = std::max<std::uint64_t>(config.sink_buffer, 1);
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
+  plan.estimated_bytes = admission_estimate_bytes(scene, config);
   const std::uint64_t budget = config.memory_budget;
   if (budget == 0 || plan.estimated_bytes <= budget) return plan;
 
-  // Rung 1: shrink the sink/wire buffers. Buffering thresholds never change
-  // any tree's record order (engine/sink.hpp), so this is bitwise-neutral.
-  plan.sink_buffer = std::min<std::uint64_t>(plan.sink_buffer, 16);
-  plan.shrank_buffers = true;
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
-  if (plan.estimated_bytes <= budget) return plan;
-
-  // Rung 2: coarsen the accel leaf parameters and rebuild — fatter leaves,
+  // The rung: coarsen the accel leaf parameters and rebuild — fatter leaves,
   // shallower tree, smaller index. Every structure answers queries bitwise
   // identically at any build parameters (the AccelStructure contract), so
   // this trades traversal speed for memory, never results.
@@ -400,12 +398,13 @@ AdmissionPlan govern_admission(Scene& scene, const RunConfig& config) {
   plan.coarsened_accel = true;
   scene.build(plan.accel_params);
   progress_tick(config, "accel-build", scene.patch_count());
-  plan.estimated_bytes = estimate_bytes(scene, config, plan.sink_buffer);
+  plan.estimated_bytes = admission_estimate_bytes(scene, config);
   if (plan.estimated_bytes <= budget) return plan;
 
-  // Rung 3: refuse admission. Deliberately NOT on the ladder: batch/window
-  // size — record order feeds the adaptive split decisions, so shrinking it
-  // would change results, and a degraded run must stay bitwise-equal.
+  // Refuse admission. Deliberately NOT on the ladder: batch/window size —
+  // dist-spatial's record order feeds its adaptive split decisions, so
+  // shrinking it would change results, and a degraded run must stay
+  // bitwise-equal.
   std::ostringstream what;
   what << "memory budget " << budget << " bytes refused: coarsest plan still needs ~"
        << plan.estimated_bytes << " bytes (accel "

@@ -8,14 +8,14 @@
 //                boundaries and stop cleanly with RunStatus::kPreempted —
 //                the partial RunResult is a valid window-aligned checkpoint,
 //                so rerunning with the same --checkpoint continues bitwise.
-//                The distributed backends agree on the stop window with one
-//                allreduce of a packed stop word (below), so every rank
-//                breaks at the same window and the in-flight exchange drains
-//                through the existing end-of-loop path.
+//                Every loop asks governed_stop (below) at window end; the
+//                message-passing backends pass their Comm, so the ranks
+//                agree on the stop window with one allreduce of a packed
+//                stop word and all break at the same window.
 //
 //   Progress     A process-global liveness beacon generalizing MiniMPI's
-//                per-batch heartbeat counters to every backend: serial and
-//                shared batch loops, each distributed rank, the worker pool's
+//                per-batch heartbeat counters to every backend: the serial
+//                batch loop, each message-passing rank, the worker pool's
 //                chunk claims and the accel builds all tick it. Ticking is an
 //                atomic bump (no lock on the hot path); labeled slots carry
 //                the last batch/window index per participant for the
@@ -30,15 +30,14 @@
 //                into a WedgedError (exit 6). A typed abort, never a hang.
 //
 //   MemoryBudget govern_admission applies the documented degradation ladder
-//                to an over-budget run before it starts: shrink the sink
-//                buffers, then coarsen the accel leaf parameters (both
-//                bitwise-neutral by contract), then refuse admission with a
-//                typed ResourceError. At run time the governed loops fold
-//                the forest footprint into the same stop word and stop with
-//                RunStatus::kOverBudget — a resumable graceful stop, not an
-//                OOM kill. Batch/window size is deliberately NOT a rung:
-//                record order feeds the adaptive split decisions, so
-//                changing it would change results.
+//                to an over-budget run before it starts: coarsen the accel
+//                leaf parameters (bitwise-neutral by contract), then refuse
+//                admission with a typed ResourceError. At run time the
+//                governed loops fold the forest footprint into the same stop
+//                word and stop with RunStatus::kOverBudget — a resumable
+//                graceful stop, not an OOM kill. Batch/window size is
+//                deliberately NOT a rung: dist-spatial's record order, and
+//                so its adaptive split decisions, depend on it.
 #pragma once
 
 #include <atomic>
@@ -52,6 +51,9 @@
 #include "geom/scene.hpp"
 
 namespace photon {
+
+class BinForest;  // hist/binforest.hpp
+class Comm;       // mp/minimpi.hpp
 
 // How a governed run ended. Not serialized into checkpoints — a checkpoint
 // is the same bytes whether the leg ended by count or by preemption.
@@ -89,6 +91,17 @@ std::uint64_t encode_stop_word(bool preempt, std::uint64_t forest_bytes);
 bool stop_word_preempted(std::uint64_t sum);
 // True when the summed forest footprint exceeds budget_bytes (0 = unlimited).
 bool stop_word_over_budget(std::uint64_t sum, std::uint64_t budget_bytes);
+
+// The window-end stop check every governed backend loop runs: kComplete to
+// go on, kPreempted on a preempt vote (consumed via acknowledge_preempt),
+// kOverBudget when the forest footprint crosses config.memory_budget.
+// Always kComplete when !config.governed. With a `comm`, the check is one
+// allreduce of the packed stop word — every rank gets the same answer from
+// the same sum and stops at the same window — so every rank must call it,
+// unconditionally, at every window. `forest` is this rank's (partitioned)
+// forest.
+RunStatus governed_stop(const RunConfig& config, const BinForest& forest,
+                        Comm* comm = nullptr);
 
 // ---- Progress beacon -------------------------------------------------------
 
@@ -225,29 +238,26 @@ class Watchdog {
 
 // ---- Memory budget ---------------------------------------------------------
 
-// What govern_admission decided: the (possibly degraded) knobs to run with
-// and what each rung changed. estimate_bytes is the planning-time footprint
-// — accel + virgin forest + buffer high-water estimate — not a promise.
+// What govern_admission decided: the (possibly degraded) accel parameters to
+// run with. estimate_bytes is the planning-time footprint — accel + virgin
+// forest + per-window wire bytes — not a promise.
 struct AdmissionPlan {
   std::uint64_t estimated_bytes = 0;
-  std::uint64_t sink_buffer = 0;       // records per worker buffer (rung 1)
-  AccelBuildParams accel_params{};     // leaf params (rung 2)
-  bool shrank_buffers = false;
+  AccelBuildParams accel_params{};  // leaf params (the one rung)
   bool coarsened_accel = false;
 };
 
 // Applies the degradation ladder for config.memory_budget (0 = unlimited:
-// returns the config's own knobs untouched). Rung 2 rebuilds the scene's
-// accel with coarser leaf parameters and re-measures the real footprint —
+// returns the scene's accel untouched). The rung rebuilds the scene's accel
+// with coarser leaf parameters and re-measures the real footprint —
 // bitwise-neutral by the AccelStructure contract. Throws ResourceError when
 // even the coarsest plan exceeds the budget (refused admission).
 AdmissionPlan govern_admission(Scene& scene, const RunConfig& config);
 
 // The planning-time footprint govern_admission scores, without the ladder:
 // const, never rebuilds anything. The photon service admits jobs against a
-// shared budget with this — rung 2 (rebuild the accel) is off the table for
-// a resident scene other jobs are reading.
-std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config,
-                                       std::uint64_t sink_buffer);
+// shared budget with this — rebuilding the accel is off the table for a
+// resident scene other jobs are reading.
+std::uint64_t admission_estimate_bytes(const Scene& scene, const RunConfig& config);
 
 }  // namespace photon

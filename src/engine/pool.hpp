@@ -1,7 +1,6 @@
 // WorkerPool — the engine's persistent, deterministic work-stealing worker
-// pool. Every threaded path in the codebase (the `shared` backend, each
-// hybrid group's thread team, the parallel octree build, the viewer's tile
-// loop) schedules through this service instead of spawning raw std::threads
+// pool. Every threaded path in the codebase (each hybrid group's thread
+// team, the parallel octree build, the viewer's tile loop) schedules through this service instead of spawning raw std::threads
 // per batch.
 //
 // Two problems with the per-batch spawn/join idiom this replaces:
@@ -120,9 +119,10 @@ class WorkerPool {
   void run(std::uint64_t chunks, int width,
            const std::function<void(std::uint64_t, int)>& body, PoolRunStats* stats = nullptr);
 
-  // The process-lifetime pool every call site shares by default (hybrid
-  // groups construct private pools instead, so G groups can run their
-  // windows concurrently). First use spawns it; it parks between runs.
+  // The process-lifetime pool every call site shares by default (hybrid at
+  // more than one group constructs a private pool per group instead, so G
+  // groups can run their windows concurrently). First use spawns it; it
+  // parks between runs.
   static WorkerPool& instance();
 
   // Test-only, process-global: perturbs the claim order of every subsequent

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "core/error.hpp"
 #include "engine/governor.hpp"
@@ -18,9 +19,13 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
   RecoveryStats rec;
   RunConfig cfg = config;
   // The dimension a rank death shrinks: hybrid's MiniMPI ranks are groups;
-  // the dist backends' are workers. Other backends run no world and can only
-  // fail through a rethrown WorldFailure (never shrink).
-  const bool shrink_groups = backend.name() == "hybrid";
+  // dist-particle's (one-thread groups) and dist-spatial's are workers.
+  // `shared` runs a one-rank world and `serial` none: a death there leaves
+  // no survivor to shrink to.
+  const std::string name = backend.name();
+  int* width = name == "hybrid" ? &cfg.groups
+               : name == "dist-particle" || name == "dist-spatial" ? &cfg.workers
+                                                                   : nullptr;
   const std::uint64_t total = config.photons;
 
   // Leg size aligned down to whole batch windows: hybrid's resume is bitwise
@@ -100,9 +105,10 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
       rec.photons_retraced += n;
       rec.ranks_lost += static_cast<int>(failure.dead_ranks.size());
       for (const int r : failure.dead_ranks) rec.dead_ranks.push_back(r);
-      int& width = shrink_groups ? cfg.groups : cfg.workers;
-      width -= static_cast<int>(failure.dead_ranks.size());
-      if (width < 1 || recoveries_left-- <= 0) {
+      const int lost = static_cast<int>(failure.dead_ranks.size());
+      if (width) *width -= lost;
+      const bool survivors = width ? *width >= 1 : lost == 0;
+      if (!survivors || recoveries_left-- <= 0) {
         if (stats) *stats = rec;
         throw;
       }
@@ -113,7 +119,7 @@ RunResult run_elastic(Backend& backend, const Scene& scene, const RunConfig& con
     }
   }
 
-  rec.final_width = shrink_groups ? cfg.groups : cfg.workers;
+  rec.final_width = width ? *width : cfg.workers;
   state.recovery = rec;
   if (stats) *stats = rec;
   return state;

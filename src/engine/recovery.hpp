@@ -3,21 +3,19 @@
 //
 // run_elastic cuts a run into legs of config.checkpoint_photons photons and
 // holds the last completed leg's RunResult as an in-memory checkpoint (the
-// same object checkpoint v2 serializes). When a leg dies with a WorldFailure
-// — a scripted kill, or the heartbeat detector declaring a rank dead
-// (mp/fault.hpp) — the runner rewinds to that checkpoint, removes the dead
-// ranks from the parallel width (groups for hybrid, workers for the dist
-// backends), and re-runs the open leg at the survivor shape: the dead rank's
-// photon-id slice re-shards across the survivors automatically because every
-// backend derives its slice from (width, rank).
+// same object the checkpoint format serializes). When a leg dies with a
+// WorldFailure — a scripted kill, or the heartbeat detector declaring a rank
+// dead (mp/fault.hpp) — the runner rewinds to that checkpoint, removes the
+// dead ranks from the parallel width (groups for hybrid, workers for
+// dist-particle and dist-spatial), and re-runs the open leg at the survivor
+// shape: the dead rank's photon-id slice re-shards across the survivors
+// automatically because every backend derives its slice from (width, rank).
 //
-// Determinism after recovery (DESIGN.md "Fault model"): hybrid is bitwise
-// shape-invariant and legs align to window boundaries, so a recovered run is
-// bitwise equal to an undisturbed run at the survivor shape. dist-particle
-// and dist-spatial recover with conserved tallies but not bitwise equality —
-// dist-particle's leapfrog streams are shape-bound (its resume degrades to
-// disjoint-block streams, the conservative re-trace), and dist-spatial's
-// record interleaving is shape-dependent.
+// Determinism after recovery (DESIGN.md "Fault model"): hybrid — with its
+// dist-particle shape — is bitwise shape-invariant and legs align to window
+// boundaries, so a recovered run is bitwise equal to an undisturbed run at
+// the survivor shape. dist-spatial recovers with conserved tallies but not
+// bitwise equality: its record interleaving is shape-dependent.
 #pragma once
 
 #include "engine/backend.hpp"

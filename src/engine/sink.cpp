@@ -1,49 +1,6 @@
 #include "engine/sink.hpp"
 
-#include <algorithm>
-
 namespace photon {
-
-BufferedForestSink::BufferedForestSink(BinForest& forest, std::vector<std::mutex>& tree_mutexes,
-                                       std::size_t flush_threshold)
-    : forest_(&forest),
-      mutexes_(&tree_mutexes),
-      threshold_(std::max<std::size_t>(flush_threshold, 1)) {
-  buffer_.reserve(threshold_);
-  order_.reserve(threshold_);
-}
-
-BufferedForestSink::~BufferedForestSink() { flush(); }
-
-void BufferedForestSink::flush() {
-  const std::size_t n = buffer_.size();
-  if (n == 0) return;
-
-  // Group records by target tree, stably: one precomputed key per record —
-  // tree index in the high half, recording position in the low half — so the
-  // sort is a single integer compare instead of re-deriving tree_index twice
-  // per comparison, and equal trees keep recording order by construction.
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto tree =
-        static_cast<std::uint64_t>(BinForest::tree_index(buffer_[i].patch, buffer_[i].front));
-    order_[i] = (tree << 32) | static_cast<std::uint32_t>(i);
-  }
-  std::sort(order_.begin(), order_.end());
-
-  std::size_t i = 0;
-  while (i < n) {
-    const int tree_idx = static_cast<int>(order_[i] >> 32);
-    std::lock_guard<std::mutex> lock((*mutexes_)[static_cast<std::size_t>(tree_idx)]);
-    BinTree& tree = forest_->tree_at(tree_idx);
-    do {
-      const BounceRecord& rec = buffer_[static_cast<std::uint32_t>(order_[i])];
-      tree.record(rec.coords, rec.channel);
-      ++i;
-    } while (i < n && static_cast<int>(order_[i] >> 32) == tree_idx);
-  }
-  buffer_.clear();
-}
 
 void RouterSink::apply_incoming(const Bytes& buf) {
   for_each_wire<WireRecord>(buf, [&](const WireRecord& wire) {
@@ -53,17 +10,34 @@ void RouterSink::apply_incoming(const Bytes& buf) {
   });
 }
 
-void OrderedRouterSink::apply_batch(const std::vector<BounceRecord>& held,
-                                    const std::vector<Bytes>& incoming) {
+void OrderedRouter::route(const std::vector<BounceRecord>& records) {
+  for (const BounceRecord& rec : records) {
+    const int owner_rank = (*owner_)[static_cast<std::size_t>(rec.patch)];
+    if (owner_rank != rank_) wire_->append(owner_rank, to_wire(rec));
+  }
+}
+
+void OrderedRouter::apply_window(std::span<const std::vector<BounceRecord>> own,
+                                 const std::vector<Bytes>& incoming) {
+  std::uint64_t applied = 0;
+  const auto apply = [&](const BounceRecord& rec) {
+    forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
+    ++applied;
+  };
   const int sources = static_cast<int>(incoming.size());
   for (int s = 0; s < sources; ++s) {
-    if (s == rank_) {
-      for (const BounceRecord& rec : held) apply_record(rec);
-    } else {
+    if (s != rank_) {
       for_each_wire<WireRecord>(incoming[static_cast<std::size_t>(s)],
-                                [&](const WireRecord& wire) { apply_record(from_wire(wire)); });
+                                [&](const WireRecord& wire) { apply(from_wire(wire)); });
+      continue;
+    }
+    for (const std::vector<BounceRecord>& records : own) {
+      for (const BounceRecord& rec : records) {
+        if ((*owner_)[static_cast<std::size_t>(rec.patch)] == rank_) apply(rec);
+      }
     }
   }
+  *applied_ += applied;
 }
 
 }  // namespace photon

@@ -1,23 +1,11 @@
-// BufferedForestSink — batched, contention-light tallying for the shared
-// backend (and any future backend that funnels BounceRecords into a locked
-// BinForest).
-//
-// The seed's LockedForestSink took one mutex acquisition per recorded bounce;
-// at millions of bounces/sec across threads that lock traffic dominates the
-// hot path. This sink accumulates records in a thread-private buffer and, at
-// a configurable threshold (RunConfig::sink_buffer), groups them by target
-// tree and applies each tree's batch under that tree's mutex — one lock per
-// distinct tree per flush instead of one per record.
-//
-// Ordering guarantee: within one sink, records bound for the same tree are
-// applied in the order they were recorded (the grouping sort is stable).
-// Trees are independent histograms, so reordering *across* trees cannot
-// change any tree's final state — at one worker the flushed forest is bitwise
-// identical to the serial ForestSink result.
+// Record routers for the partitioned-forest backends (EnQueue of Fig 5.3):
+// a record whose patch this rank owns is tallied into the local forest; a
+// foreign record is serialized in place into the per-destination WireBuffer
+// (one copy, straight into the bytes the exchange will send).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "engine/wire.hpp"
@@ -26,48 +14,10 @@
 
 namespace photon {
 
-class BufferedForestSink final : public BinSink {
- public:
-  // `flush_threshold` is clamped to >= 1; 1 degenerates to lock-per-record.
-  // Buffer capacity is reserved up front, so the record path never allocates.
-  BufferedForestSink(BinForest& forest, std::vector<std::mutex>& tree_mutexes,
-                     std::size_t flush_threshold);
-  ~BufferedForestSink() override;
-
-  BufferedForestSink(const BufferedForestSink&) = delete;
-  BufferedForestSink& operator=(const BufferedForestSink&) = delete;
-
-  void record(const BounceRecord& rec) override {
-    buffer_.push_back(rec);
-    if (buffer_.size() >= threshold_) flush();
-  }
-
-  // Applies every buffered record; must be (and is, via the destructor)
-  // called before the forest is read.
-  void flush();
-
-  std::size_t threshold() const { return threshold_; }
-
- private:
-  BinForest* forest_;
-  std::vector<std::mutex>* mutexes_;
-  std::vector<BounceRecord> buffer_;
-  // Scratch for the per-tree grouping sort: (tree_index << 32) | position.
-  std::vector<std::uint64_t> order_;
-  std::size_t threshold_;
-};
-
-// RouterSink — the distributed backends' record router (EnQueue of Fig 5.3),
-// in the same engine-service family as BufferedForestSink. A record whose
-// patch this rank owns is tallied into the local forest immediately; a
-// foreign record is serialized in place into the per-destination WireBuffer
-// (one copy, straight into the bytes the exchange will send). Both par/dist
-// and par/spatial previously hand-rolled this with per-destination
-// std::vector<WireRecord> queues re-packed every batch.
-//
-// The sink holds no queue of its own: WireBuffer::take() surrenders batch k's
-// bytes to the split-phase exchange and leaves the same buffer refillable, so
-// the sink keeps serializing batch k+1 while batch k drains.
+// RouterSink — dist-spatial's router. Owned records are tallied the instant
+// they are traced; WireBuffer::take() surrenders a round's bytes to the
+// exchange and leaves the buffer refillable, so the sink keeps serializing
+// the next round while this one drains.
 class RouterSink final : public BinSink {
  public:
   // `owner[p]` is the rank owning patch p's trees; `applied` counts records
@@ -98,59 +48,36 @@ class RouterSink final : public BinSink {
   std::uint64_t* applied_;
 };
 
-// OrderedRouterSink — RouterSink's canonically-ordered sibling, used by the
-// backends that promise a *reproducible interleaving* of local and foreign
-// records (dist-particle's bitwise resume, hybrid's shape invariance).
-//
-// RouterSink tallies owned records the instant they are traced, so a tree's
-// record order interleaves "my trace position" with "whenever a drain ran" —
-// reproducible run to run, but dependent on the batch pipeline's phase.
-// This sink instead *holds* owned records per batch and applies one batch
-// window atomically in source-rank order: rank 0's slice, rank 1's slice, …
-// (its own held slice in place of incoming[rank]). Per-tree record order is
-// then a pure function of the batch schedule — independent of pipeline depth,
-// and, when ranks trace contiguous id slices, equal to global photon-id
-// order.
-class OrderedRouterSink final : public BinSink {
+// OrderedRouter — hybrid's router, which promises a reproducible
+// interleaving of local and foreign records. A window's records are applied
+// to the owner trees in source-rank order: rank 0's slice, rank 1's slice, …
+// with this rank's own slice read straight out of its record buffers in
+// place of incoming[rank]. Per-tree record order is then a pure function of
+// the window schedule and, when ranks trace contiguous id slices, equal to
+// global photon-id order.
+class OrderedRouter {
  public:
-  OrderedRouterSink(BinForest& forest, const std::vector<int>& owner, int rank,
-                    WireBuffer& wire, std::uint64_t& applied)
+  OrderedRouter(BinForest& forest, const std::vector<int>& owner, int rank, WireBuffer& wire,
+                std::uint64_t& applied)
       : forest_(&forest), owner_(&owner), rank_(rank), wire_(&wire), applied_(&applied) {}
 
-  // Owned records are held for apply_batch; foreign records serialize in
-  // place into the outgoing wire (same zero-copy path as RouterSink).
-  void record(const BounceRecord& rec) override {
-    const int owner_rank = (*owner_)[static_cast<std::size_t>(rec.patch)];
-    if (owner_rank == rank_) {
-      held_.push_back(rec);
-    } else {
-      wire_->append(owner_rank, to_wire(rec));
-    }
-  }
+  // Serializes the foreign records of `records` into the outgoing wire, in
+  // order; owned records stay where they are for apply_window.
+  void route(const std::vector<BounceRecord>& records);
 
-  // Surrenders the records held since the last take (the WireBuffer::take
-  // idiom): batch k's held slice stays applicable while batch k+1 records
-  // into the same sink.
-  std::vector<BounceRecord> take_held() { return std::move(held_); }
-
-  // Applies one batch window in canonical source order: for each source rank
-  // s, incoming[s]'s records — except s == rank, whose slot is `held` (this
-  // rank's own records for the window, taken via take_held). incoming[rank]
-  // is ignored (self-delivery is empty on the record tag).
-  void apply_batch(const std::vector<BounceRecord>& held, const std::vector<Bytes>& incoming);
+  // Applies one window in canonical source order: for each source rank s,
+  // incoming[s]'s records — except s == rank, whose slot is the owned
+  // records of `own` (this rank's buffers, in order). incoming[rank] is
+  // ignored (self-delivery is empty on the record tag).
+  void apply_window(std::span<const std::vector<BounceRecord>> own,
+                    const std::vector<Bytes>& incoming);
 
  private:
-  void apply_record(const BounceRecord& rec) {
-    forest_->record(rec.patch, rec.front, rec.coords, rec.channel);
-    ++(*applied_);
-  }
-
   BinForest* forest_;
   const std::vector<int>* owner_;
   int rank_;
   WireBuffer* wire_;
   std::uint64_t* applied_;
-  std::vector<BounceRecord> held_;
 };
 
 }  // namespace photon

@@ -1,6 +1,6 @@
 // Wire formats exchanged between ranks, defined once for every
-// message-passing backend (the seed duplicated these structs in
-// par/dist.cpp and par/spatial.cpp "to keep the two substrates independent").
+// message-passing backend (the seed duplicated these structs per backend
+// "to keep the two substrates independent").
 //
 // Two record kinds travel on the wire:
 //  - WireRecord: a packed tally destined for the bin-tree owner (the EnQueue

@@ -28,7 +28,13 @@ void Scene::add_luminaire(int patch, const Rgb& power, double angular_scale) {
   luminaires_.push_back(lum);
 }
 
-void Scene::build(const AccelBuildParams& params) { accel_->build(patches_, params); }
+void Scene::build(const AccelBuildParams& params) {
+  // A fresh structure, not a rebuild in place: the structures report memory
+  // by capacity, which a rebuild never gives back — a coarser rebuild (the
+  // admission ladder's rung) would otherwise look no smaller.
+  accel_ = make_accel(accel_kind_);
+  accel_->build(patches_, params);
+}
 
 std::optional<SceneHit> Scene::intersect_brute(const Ray& ray, double tmax) const {
   SceneHit best;

@@ -172,9 +172,28 @@ class World {
     if (announce) mark_gone(rank, kDead);
   }
 
-  // The failure detector's verdict: a peer whose heartbeat went stale
-  // through every retry. Same effect as an announced kill.
-  void declare_dead(int rank) { record_death(rank, true); }
+  // The failure detector's verdict by `judge` on `peer`, whose heartbeat
+  // went stale through every retry: same effect as an announced kill. The
+  // first verdict wins — a judge already declared dead is refused (returns
+  // false). Two ranks blocked on each other (one in recv, one in a
+  // collective) would otherwise declare each other dead and leave no
+  // survivor.
+  bool declare_dead(int judge, int peer) {
+    bool newly_dead = false;
+    if (!record_verdict(judge, peer, newly_dead)) return false;
+    if (newly_dead) announce_gone(peer);
+    return true;
+  }
+
+  // A refused verdict: `judge` was itself declared dead while waiting on
+  // `peer`. An ordinary CommError, so run_world folds it into the
+  // WorldFailure as a collateral abort.
+  [[noreturn]] static void throw_declared_dead(int judge, int peer, int tag) {
+    std::ostringstream what;
+    what << "MiniMPI: rank " << judge << " was itself declared dead while waiting on rank "
+         << peer;
+    throw CommError(CommErrorKind::kPeerDead, peer, tag, what.str());
+  }
 
   void mark_exited(int rank) { mark_gone(rank, kExited); }
 
@@ -261,7 +280,16 @@ class World {
       }
       leave_barrier(rank);
       if (pol.heartbeats && !any_advancing && !stale.empty()) {
-        for (const int r : stale) declare_dead_locked(r);
+        // Verdicts under barrier_m_ (held here): record_verdict takes only
+        // record_m_, and the wake skips announce_gone's barrier_m_ re-lock.
+        for (const int r : stale) {
+          bool newly_dead = false;
+          if (!record_verdict(rank, r, newly_dead)) throw_declared_dead(rank, r, -1);
+          if (newly_dead) {
+            any_gone_ = true;
+            wake_receivers_of(r);
+          }
+        }
         barrier_cv_.notify_all();
         throw CommError(CommErrorKind::kPeerDead, stale.front(), -1,
                         "MiniMPI: barrier declared stale rank(s) dead");
@@ -305,6 +333,10 @@ class World {
             expected, state, std::memory_order_acq_rel)) {
       return;
     }
+    announce_gone(rank);
+  }
+
+  void announce_gone(int rank) {
     {
       std::lock_guard<std::mutex> lock(barrier_m_);
       any_gone_ = true;
@@ -313,19 +345,18 @@ class World {
     wake_receivers_of(rank);
   }
 
-  // Same as declare_dead but callable while holding barrier_m_ (the barrier
-  // detector path): sets the flags directly instead of re-locking.
-  void declare_dead_locked(int rank) {
-    {
-      std::lock_guard<std::mutex> lock(record_m_);
-      if (std::find(dead_.begin(), dead_.end(), rank) == dead_.end()) dead_.push_back(rank);
-    }
+  // Every verdict is decided under record_m_, so of two ranks judging each
+  // other the second sees itself dead and is refused. `newly_dead` reports
+  // whether this verdict moved `peer` from alive to dead (the caller wakes
+  // its waiters, outside record_m_).
+  bool record_verdict(int judge, int peer, bool& newly_dead) {
+    std::lock_guard<std::mutex> lock(record_m_);
+    if (life_of(judge) == kDead) return false;
+    if (std::find(dead_.begin(), dead_.end(), peer) == dead_.end()) dead_.push_back(peer);
     std::uint8_t expected = kAlive;
-    if (life_[static_cast<std::size_t>(rank)].compare_exchange_strong(
-            expected, kDead, std::memory_order_acq_rel)) {
-      any_gone_ = true;
-      wake_receivers_of(rank);
-    }
+    newly_dead = life_[static_cast<std::size_t>(peer)].compare_exchange_strong(
+        expected, kDead, std::memory_order_acq_rel);
+    return true;
   }
 
   void wake_receivers_of(int rank) {
@@ -477,7 +508,7 @@ Bytes Comm::recv_deadline(int src, int tag, double deadline_s) {
         // Missed-deadline threshold reached and the peer's liveness counter
         // never moved: the failure detector declares it dead, waking every
         // other rank blocked on it.
-        world_->declare_dead(src);
+        if (!world_->declare_dead(rank_, src)) World::throw_declared_dead(rank_, src, tag);
         what << "MiniMPI: rank " << src << " declared dead after " << (attempt + 1)
              << " missed deadlines on tag " << tag;
         throw CommError(CommErrorKind::kPeerDead, src, tag, what.str());
@@ -552,30 +583,35 @@ WorldStats run_world(int nranks, const WorldOptions& options,
   threads.reserve(static_cast<std::size_t>(nranks));
   std::exception_ptr first_error = nullptr;
   std::mutex error_m;
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      Comm comm(&world, r);
-      try {
-        fn(comm);
-        world.mark_exited(r);
-      } catch (const RankKilled&) {
-        // Scripted death: recorded by fault_point. Under announce_death the
-        // rank is already marked gone; a silent death leaves no trace here —
-        // the zombie is for the heartbeat detector to find.
-      } catch (const CommError& e) {
-        // Collateral abort: this rank was blocked on a failure elsewhere (or
-        // hit its own deadline). Not a program error — folded into the
-        // post-join WorldFailure.
-        world.record_abort(e.kind());
-        world.mark_exited(r);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_m);
-          if (!first_error) first_error = std::current_exception();
-        }
-        world.mark_exited(r);
+  const auto run_rank = [&](int r) {
+    Comm comm(&world, r);
+    try {
+      fn(comm);
+      world.mark_exited(r);
+    } catch (const RankKilled&) {
+      // Scripted death: recorded by fault_point. Under announce_death the
+      // rank is already marked gone; a silent death leaves no trace here —
+      // the zombie is for the heartbeat detector to find.
+    } catch (const CommError& e) {
+      // Collateral abort: this rank was blocked on a failure elsewhere (or
+      // hit its own deadline). Not a program error — folded into the
+      // post-join WorldFailure.
+      world.record_abort(e.kind());
+      world.mark_exited(r);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(error_m);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
+      world.mark_exited(r);
+    }
+  };
+  // A one-rank world runs on the calling thread, which would otherwise only
+  // wait in join: no thread is started for it.
+  if (nranks == 1) {
+    run_rank(0);
+  } else {
+    for (int r = 0; r < nranks; ++r) threads.emplace_back(run_rank, r);
   }
   for (std::thread& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);

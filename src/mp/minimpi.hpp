@@ -192,7 +192,8 @@ class Comm {
   std::array<double, kNumTags> wait_by_tag_{};
 };
 
-// Runs `fn` on `nranks` concurrent ranks and joins them. The first exception
+// Runs `fn` on `nranks` concurrent ranks, one thread each (a one-rank world
+// runs on the calling thread), and joins them. The first exception
 // thrown by any rank is rethrown after all ranks finish or abort — except
 // the fault paths: scripted kills (RankKilled) and the CommErrors they
 // cascade into are collected instead, and reported as one WorldFailure after

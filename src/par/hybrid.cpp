@@ -1,8 +1,9 @@
 #include "par/hybrid.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 
 #include "engine/governor.hpp"
 #include "engine/pool.hpp"
@@ -16,9 +17,8 @@ namespace photon {
 
 namespace {
 
-// Message channels, same convention as par/dist: records ride the overlapped
-// tag, the end-of-run tree gather its own so gather waits stay out of the
-// record-path overlap telemetry.
+// Message channels: records ride their own tag, the end-of-run tree gather
+// another, so gather waits stay out of the record-exchange wait telemetry.
 constexpr int kTagRecords = 0;
 constexpr int kTagGather = 1;
 
@@ -30,7 +30,7 @@ std::uint64_t slice_begin(std::uint64_t n, int parts, int i) {
 }
 
 // Chunk-private record buffer: traced records accumulate in trace order and
-// are drained on the group thread in ascending chunk order, so a group's
+// are read on the group thread in ascending chunk order, so a group's
 // window records reassemble in ascending photon-id order no matter which
 // worker claimed (or stole) which chunk.
 class BufferSink final : public BinSink {
@@ -59,12 +59,15 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
   std::mutex result_mutex;  // harness-side collection only
 
   // Ownership is a pure function of (scene, config) — computed once and
-  // shared, same setup-phase treatment as par/dist (on MPI the G replicated
-  // probes run concurrently and cost one probe of wall time).
-  const std::vector<std::uint64_t> loads =
-      measure_patch_loads(scene, config.lb_photons, config.seed ^ 0x9E3779B97F4A7C15ULL);
-  const LoadBalance balance =
-      config.bestfit ? assign_bestfit(loads, G) : assign_naive(loads, G);
+  // shared (on MPI the G replicated probes run concurrently and cost one
+  // probe of wall time). One group owns every tree whatever the loads, so
+  // it skips the probe.
+  const LoadBalance balance = [&] {
+    if (G == 1) return assign_naive(std::vector<std::uint64_t>(scene.patch_count(), 0), 1);
+    const std::vector<std::uint64_t> loads =
+        measure_patch_loads(scene, config.lb_photons, config.seed ^ 0x9E3779B97F4A7C15ULL);
+    return config.bestfit ? assign_bestfit(loads, G) : assign_naive(loads, G);
+  }();
 
   // Fault plan and deadline/heartbeat policy ride in from the config; the
   // defaults are a no-fault, block-forever world (mp/fault.hpp).
@@ -89,18 +92,20 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
 
     RankReport report;
     WireBuffer wire(P);
-    OrderedRouterSink sink(forest, balance.owner, rank, wire, report.processed);
+    OrderedRouter router(forest, balance.owner, rank, wire, report.processed);
 
-    // This group's worker team: spawned ONCE here, parked between windows,
-    // reused for every window of the run. The seed version paid a full
-    // thread create/join cycle per window — the overhead bench_pool puts a
-    // number on. One private pool per group so the G groups' windows
-    // schedule concurrently instead of serializing on a shared job slot.
+    // This group's worker team, parked between windows and reused for every
+    // window of the run. One group runs on the process-wide pool, which
+    // spawns no thread per run; several groups get one private pool each,
+    // spawned here, so their windows schedule concurrently instead of
+    // serializing on the shared pool's job slot.
     const std::uint64_t chunk_size = std::max<std::uint64_t>(config.chunk, 1);
-    WorkerPool pool(T - 1);
+    std::unique_ptr<WorkerPool> group_pool;
+    if (P > 1) group_pool = std::make_unique<WorkerPool>(T - 1);
+    WorkerPool& pool = group_pool ? *group_pool : WorkerPool::instance();
 
     // Per-worker hot counters in cache-line-padded slots (workers bump only
-    // their own line); per-chunk record buffers are drained (and so emptied)
+    // their own line); per-chunk record buffers are applied (and emptied)
     // every window.
     std::vector<std::vector<BounceRecord>> buffers;
     std::vector<CachePadded<TraceCounters>> counters(static_cast<std::size_t>(T));
@@ -111,9 +116,7 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
     pool_stats.worker_steals.assign(static_cast<std::size_t>(T), 0);
     pool_stats.worker_photons.assign(static_cast<std::size_t>(T), 0);
 
-    std::vector<BounceRecord> held_prev;             // window k-1's owned records
-    std::optional<PendingExchange> pending;          // window k-1's wire bytes in flight
-    RunStatus local_status = RunStatus::kComplete;
+    RunStatus status = RunStatus::kComplete;
     std::uint64_t window_start = first_photon;
     // Window indices label the whole run, not one leg: a resumed leg
     // continues the numbering, so a scripted fault can name a mid-run window
@@ -127,14 +130,14 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
       comm.batch_tick(window_index);
       const std::uint64_t window_end = std::min(window_start + window, last_photon);
       const std::uint64_t n = window_end - window_start;
-      // This group's contiguous id slice of the window, split contiguously
-      // across its threads.
+      // This group's contiguous id slice of the window, cut into chunks.
       const std::uint64_t group_lo = window_start + slice_begin(n, P, rank);
       const std::uint64_t group_hi = window_start + slice_begin(n, P, rank + 1);
       const std::uint64_t group_n = group_hi - group_lo;
 
       const std::uint64_t chunks = chunk_count(group_n, chunk_size);
       if (buffers.size() < chunks) buffers.resize(chunks);
+      const std::span<std::vector<BounceRecord>> records(buffers.data(), chunks);
 
       PoolRunStats stats;
       pool.run(
@@ -142,7 +145,7 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
           [&](std::uint64_t c, int slot) {
             const std::uint64_t lo = group_lo + c * chunk_size;
             const std::uint64_t hi = std::min(lo + chunk_size, group_hi);
-            BufferSink chunk_sink(buffers[static_cast<std::size_t>(c)]);
+            BufferSink chunk_sink(records[c]);
             TraceCounters& mine = counters[static_cast<std::size_t>(slot)].value;
             ChannelCounts& mine_emitted = emitted[static_cast<std::size_t>(slot)].value;
             for (std::uint64_t id = lo; id < hi; ++id) {
@@ -153,16 +156,6 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
             }
           },
           &stats);
-
-      // Ascending-chunk drain: chunks tile the group's contiguous id slice
-      // in order, so the group's records route in global photon-id order no
-      // matter which worker claimed (or stole) which chunk — owned ones into
-      // the held slice, foreign ones straight into the wire bytes.
-      for (std::uint64_t c = 0; c < chunks; ++c) {
-        std::vector<BounceRecord>& records = buffers[static_cast<std::size_t>(c)];
-        for (const BounceRecord& rec : records) sink.record(rec);
-        records.clear();
-      }
       pool_stats.chunks += stats.chunks;
       pool_stats.steals += stats.steals;
       for (std::size_t s = 0; s < stats.worker_chunks.size(); ++s) {
@@ -172,20 +165,21 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
       report.traced += group_n;
       report.batch_sizes.push_back(group_n);
 
-      // Window k-1 drained while this window traced; apply it in canonical
-      // source-group order, then post this window's bytes. Tracing never
-      // reads the forest, so the deferral cannot change any path.
-      if (pending) {
-        const std::vector<Bytes> incoming = pending->finish();
-        sink.apply_batch(held_prev, incoming);
+      // The window's exchange, synchronous: foreign records go on the wire
+      // in ascending chunk order, every peer's bytes are collected, and the
+      // whole window applies in source-group order — global photon-id order
+      // — with this group's own records read straight from its buffers.
+      if (P > 1) {
+        for (const std::vector<BounceRecord>& chunk_records : records) router.route(chunk_records);
       }
-      held_prev = sink.take_held();
-      pending.emplace(comm.alltoall_start(wire.take(), kTagRecords));
+      PendingExchange exchange = comm.alltoall_start(wire.take(), kTagRecords);
       // Mid-exchange kill point: sends posted, finish outstanding.
       comm.fault_point(FaultPoint::kMidExchange, window_index);
+      router.apply_window(records, exchange.finish());
+      for (std::vector<BounceRecord>& chunk_records : records) chunk_records.clear();
       ++report.rounds;
 
-      // One speed point per window on the agreed clock (as in par/dist).
+      // One speed point per window on the agreed clock.
       const double agreed = comm.allreduce_max(sampler.elapsed());
       if (rank == 0) sampler.sample_at(agreed, window_end - first_photon);
 
@@ -193,41 +187,18 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
       progress_tick(config, "hybrid", window_index);
       ++window_index;
       window_start = window_end;
-
-      // Governed stop agreement: one unconditional allreduce of the packed
-      // stop word per window — every rank derives the same decision from the
-      // same sum and breaks at the same window boundary, so the in-flight
-      // exchange drains through the ordinary end-of-loop path below.
-      // Unconditional because MiniMPI collectives pair anonymously: a rank
-      // skipping it would mispair another rank's barrier.
-      if (config.governed) {
-        const std::uint64_t sum = comm.allreduce_sum_u64(
-            encode_stop_word(preempt_requested(config), forest.memory_bytes()));
-        if (stop_word_preempted(sum)) {
-          acknowledge_preempt(config);  // idempotent across ranks
-          local_status = RunStatus::kPreempted;
-          break;
-        }
-        if (stop_word_over_budget(sum, config.memory_budget)) {
-          local_status = RunStatus::kOverBudget;
-          break;
-        }
-      }
+      // Every rank runs the same stop check at the same window and gets the
+      // same answer, so all ranks break together with nothing in flight.
+      status = governed_stop(config, forest, &comm);
+      if (status != RunStatus::kComplete) break;
     }
     // One more liveness tick so the gather below is not instantly stale to
     // a peer's failure detector.
     comm.heartbeat(window_index + 1);
 
-    // Every rank ran the same window count, so the final drain matches the
-    // pending sends exactly.
-    if (pending) {
-      const std::vector<Bytes> incoming = pending->finish();
-      sink.apply_batch(held_prev, incoming);
-    }
-
     // Fold per-thread state, then gather: owned trees to rank 0 as binary
     // frames, emission totals via allreduce (par/gather.hpp — shared with
-    // the other partitioned-forest backends).
+    // dist-spatial).
     ChannelCounts rank_emitted{};
     for (int tid = 0; tid < T; ++tid) {
       const auto ti = static_cast<std::size_t>(tid);
@@ -250,7 +221,7 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
       std::lock_guard<std::mutex> lock(result_mutex);
       result.ranks[static_cast<std::size_t>(rank)] = std::move(report);
       // Group-major pool telemetry: slot group*T+tid is thread tid of this
-      // group (the group×thread per_thread_traced extension).
+      // group.
       if (result.pool.worker_photons.empty()) {
         result.pool.chunk_size = chunk_size;
         result.pool.worker_photons.assign(static_cast<std::size_t>(G) * T, 0);
@@ -270,7 +241,7 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
         result.forest = std::move(forest);
         result.balance = balance;
         result.trace = sampler.finish(window_start - first_photon);
-        result.status = local_status;  // identical on every rank (same sum)
+        result.status = status;  // identical on every rank (same sum)
       }
     }
   });

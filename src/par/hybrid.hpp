@@ -1,46 +1,46 @@
 // Hybrid decomposition — the engine's `hybrid` backend: message passing
-// between groups, shared memory within them.
+// between groups, shared memory within them. The `shared` and
+// `dist-particle` backends are this backend at one group and at one thread
+// per group (engine/backend.hpp).
 //
 // The paper's target machine is a cluster of multiprocessor nodes: MPI
-// between boxes, threads inside each box. This backend composes the existing
-// decompositions the same way — `config.groups` MiniMPI ranks ("boxes"),
-// each running `config.workers` shared-memory threads — on top of the
-// dist-particle substrate: geometry replicated, bin forest partitioned
-// across groups by the probe-driven load balancer, foreign records routed
-// through RouterSink/WireBuffer into the split-phase all-to-all, trees
+// between boxes, threads inside each box. This backend runs
+// `config.groups` MiniMPI ranks ("boxes"), each with `config.workers`
+// shared-memory threads: geometry replicated, bin forest partitioned across
+// groups by the probe-driven load balancer, foreign records serialized
+// through OrderedRouter/WireBuffer into a per-window all-to-all, trees
 // gathered to rank 0 as binary frames.
 //
-// Determinism contract (the reason this backend exists beyond throughput):
-// the populated forest is bitwise identical for EVERY (groups × threads)
-// shape, chunk size, and steal interleaving, and equal to the serial
-// photon-stream reference (RunConfig::photon_streams). Three mechanisms
-// compose to guarantee it:
+// Determinism contract: the populated forest is bitwise identical for
+// EVERY (groups × threads) shape, chunk size, and steal interleaving, and
+// equal to the serial photon-stream reference (RunConfig::photon_streams).
+// Three mechanisms compose to guarantee it:
 //
 //   1. Per-photon RNG streams (core/rng.hpp photon_stream): photon i's path
 //      is a pure function of (scene, seed, i), whoever traces it.
 //   2. Contiguous id slices, chunked scheduling: each batch window of ids is
 //      split contiguously across groups; each group cuts its slice into a
-//      `config.chunk`-photon chunk grid that its persistent WorkerPool
-//      (engine/pool.hpp, one pool per group, spawned once per run) schedules
-//      dynamically — idle workers claim and steal chunks. Chunk-private
-//      record buffers are drained in ascending chunk order, so a group emits
-//      its window's records in ascending photon-id order regardless of which
-//      worker traced which chunk when.
-//   3. Canonical batch application (OrderedRouterSink::apply_batch): a
+//      `config.chunk`-photon chunk grid that its WorkerPool (engine/pool.hpp:
+//      the process-wide pool at one group, else one private pool per group
+//      spawned once per run) schedules dynamically —
+//      idle workers claim and steal chunks into chunk-private record
+//      buffers, read in ascending chunk order, so a group's window records
+//      come out in ascending photon-id order regardless of which worker
+//      traced which chunk when.
+//   3. Canonical window application (OrderedRouter::apply_window): the
+//      window's exchange completes before anything is applied, then the
 //      window's records apply to the owner trees in source-group order —
-//      which, with contiguous slices, IS global photon-id order. Tracing
-//      never reads the forest, so the one-batch-deep exchange overlap
-//      cannot perturb any path.
+//      which, with contiguous slices, IS global photon-id order.
 //
 // Resume folds a checkpoint into the partitioned trees (BinForest::merge)
 // and continues the photon-id sequence — a bitwise continuation of an
-// uninterrupted run whenever the first leg ended on a batch-window boundary
-// (photons % batch == 0), and an exact id-sequence continuation otherwise.
+// uninterrupted run, at any shape, whenever the first leg ended on a
+// batch-window boundary (photons % batch == 0).
 //
 // `config.adapt_batch` is deliberately ignored: adaptive windows are sized
 // from wall-clock rates, which would make the batch schedule — and with it
-// the forest's split timing — irreproducible. Hybrid always uses fixed
-// `config.batch`-photon global windows.
+// the governed stop points and the checkpoint legs — irreproducible. Hybrid
+// always uses fixed `config.batch`-photon global windows.
 #pragma once
 
 #include "engine/backend.hpp"

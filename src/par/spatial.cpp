@@ -12,7 +12,6 @@
 #include "mp/minimpi.hpp"
 #include "par/gather.hpp"
 #include "sim/emitter.hpp"
-#include "sim/simulator.hpp"
 
 namespace photon {
 
@@ -105,17 +104,6 @@ int region_of(const std::vector<Aabb>& regions, const Vec3& p) {
     if (interior_hi) return static_cast<int>(i);
   }
   return fallback;
-}
-
-RunResult run_photon_streams(const Scene& scene, const RunConfig& config) {
-  // One owner for the per-photon-stream reference: this is run_serial's
-  // photon_streams mode (the same loop the conformance suite pins hybrid and
-  // spatial against), kept under its historical name for the spatial tests.
-  RunConfig reference = config;
-  reference.photon_streams = true;
-  reference.rank = 0;
-  reference.nranks = 1;
-  return run_serial(scene, reference);
 }
 
 namespace {
@@ -394,20 +382,11 @@ RunResult run_spatial(const Scene& scene, const RunConfig& config, const RunResu
               : 0;
       const std::uint64_t active =
           comm.allreduce_sum_u64(static_cast<std::uint64_t>(inbox.size()) + remaining);
-      // Governed stop agreement: one more unconditional allreduce per round
-      // (collectives pair anonymously, so every rank must run it) — all
-      // ranks flip `stopping` on the same round.
-      if (config.governed && !stopping) {
-        const std::uint64_t sum = comm.allreduce_sum_u64(
-            encode_stop_word(preempt_requested(config), forest.memory_bytes()));
-        if (stop_word_preempted(sum)) {
-          acknowledge_preempt(config);  // idempotent across ranks
-          stopping = true;
-          local_status = RunStatus::kPreempted;
-        } else if (stop_word_over_budget(sum, config.memory_budget)) {
-          stopping = true;
-          local_status = RunStatus::kOverBudget;
-        }
+      // Governed stop agreement: every rank runs the same collective stop
+      // check per round, so all ranks flip `stopping` on the same round.
+      if (!stopping) {
+        local_status = governed_stop(config, forest, &comm);
+        stopping = local_status != RunStatus::kComplete;
       } else if (config.governed) {
         // Keep the collective schedule identical on every rank while the
         // in-flight photons drain.

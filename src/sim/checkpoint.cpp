@@ -12,18 +12,18 @@
 namespace photon {
 
 namespace {
-// Version 2 ("PHOTNCK2"): the payload is length-prefixed and FNV-1a-64
-// checksummed, and carries a per-rank RNG section (dist-particle's bitwise
-// resume) between the counters and the forest. Version-1 files ("PHOTONCK",
-// no length, no checksum, no rank section) are rejected — a checkpoint that
-// cannot be verified must not be resumed.
-constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B32ULL;  // "PHOTNCK2"
+// Version 3 ("PHOTNCK3"): the payload is length-prefixed and FNV-1a-64
+// checksummed: [serial RNG state][counters][forest]. Older files are
+// rejected — v1 ("PHOTONCK": no length, no checksum) cannot be verified, and
+// v2 ("PHOTNCK2") carried a per-rank leapfrog RNG section that no backend
+// resumes from any more.
+constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B33ULL;    // "PHOTNCK3"
+constexpr std::uint64_t kCheckpointMagicV2 = 0x50484F544E434B32ULL;  // "PHOTNCK2"
 constexpr std::uint64_t kCheckpointMagicV1 = 0x50484F544F4E434BULL;  // "PHOTONCK"
 
-// Caps keep a corrupt length/count field from turning into a giant
+// The cap keeps a corrupt length field from turning into a giant
 // allocation before the checksum can reject it.
 constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 33;  // 8 GiB
-constexpr std::uint64_t kMaxRanks = 1ULL << 16;
 
 std::uint64_t fnv1a64(const char* data, std::size_t n) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -57,14 +57,6 @@ void save_checkpoint(const RunResult& result, std::ostream& out) {
   write_u64(payload, result.counters.absorbed);
   write_u64(payload, result.counters.escaped);
   write_u64(payload, result.counters.terminated);
-  // Per-rank generator states (zeros for backends without per-rank streams;
-  // the resume path ignores entries with rng_mul == 0).
-  write_u64(payload, result.ranks.size());
-  for (const RankReport& rank : result.ranks) {
-    write_u64(payload, rank.rng_state);
-    write_u64(payload, rank.rng_mul);
-    write_u64(payload, rank.rng_add);
-  }
   result.forest.save(payload);
 
   const std::string bytes = payload.str();
@@ -111,7 +103,6 @@ const char* checkpoint_status_name(CheckpointStatus status) {
     case CheckpointStatus::kTruncated: return "truncated";
     case CheckpointStatus::kChecksumMismatch: return "checksum-mismatch";
     case CheckpointStatus::kBadHeader: return "bad-header";
-    case CheckpointStatus::kBadRankSection: return "bad-rank-section";
     case CheckpointStatus::kBadForest: return "bad-forest";
   }
   return "unknown";
@@ -120,8 +111,9 @@ const char* checkpoint_status_name(CheckpointStatus status) {
 CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result) {
   std::uint64_t magic = 0, length = 0;
   if (!read_u64(in, magic) || magic != kCheckpointMagic) {
-    return magic == kCheckpointMagicV1 ? CheckpointStatus::kOldVersion
-                                       : CheckpointStatus::kBadMagic;
+    return magic == kCheckpointMagicV1 || magic == kCheckpointMagicV2
+               ? CheckpointStatus::kOldVersion
+               : CheckpointStatus::kBadMagic;
   }
   if (!read_u64(in, length)) return CheckpointStatus::kTruncated;
   if (length > kMaxPayloadBytes) return CheckpointStatus::kBadLength;
@@ -155,22 +147,13 @@ CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result) {
     MemBuf(char* data, std::size_t n) { setg(data, data, data + n); }
   } membuf(bytes.data(), bytes.size());
   std::istream payload(&membuf);
-  std::uint64_t nranks = 0;
   if (!read_u64(payload, result.rng_state) || !read_u64(payload, result.rng_mul) ||
       !read_u64(payload, result.rng_add) || !read_u64(payload, result.counters.emitted) ||
       !read_u64(payload, result.counters.bounces) ||
       !read_u64(payload, result.counters.absorbed) ||
       !read_u64(payload, result.counters.escaped) ||
-      !read_u64(payload, result.counters.terminated) || !read_u64(payload, nranks) ||
-      nranks > kMaxRanks) {
+      !read_u64(payload, result.counters.terminated)) {
     return CheckpointStatus::kBadHeader;
-  }
-  result.ranks.assign(static_cast<std::size_t>(nranks), RankReport{});
-  for (RankReport& rank : result.ranks) {
-    if (!read_u64(payload, rank.rng_state) || !read_u64(payload, rank.rng_mul) ||
-        !read_u64(payload, rank.rng_add)) {
-      return CheckpointStatus::kBadRankSection;
-    }
   }
   result.forest = BinForest::load(payload);
   if (!payload || result.forest.tree_count() == 0) return CheckpointStatus::kBadForest;

@@ -3,14 +3,12 @@
 //
 // The paper's production runs simulated billions of photons over hours; a
 // checkpoint captures the bin forest (already the "answer file"), the trace
-// counters, the raw RNG state, and — since format v2 — each rank's generator
-// state, so dist-particle resumes continue every stream in place. Resuming
-// through a backend that reports supports_resume() adopts all of it; the
-// `serial`, `hybrid` and (at matching rank count) `dist-particle`
-// continuations are bitwise identical to an uninterrupted run (verified by
-// the test suite).
+// counters and serial's raw RNG state. Resuming through a backend that
+// reports supports_resume() adopts all of it; the `serial` and `hybrid`
+// (with its `shared` and `dist-particle` shapes) continuations are bitwise
+// identical to an uninterrupted run (verified by the test suite).
 //
-// The v2 byte format is [magic][u64 payload length][payload][u64 FNV-1a-64
+// The v3 byte format is [magic][u64 payload length][payload][u64 FNV-1a-64
 // of the payload]: a truncated or bit-flipped checkpoint fails the length or
 // checksum test and load_checkpoint returns false — a multi-hour run must
 // never silently resume from damaged state.
@@ -29,12 +27,11 @@ enum class CheckpointStatus {
   kOk,
   kOpenFailed,         // path could not be opened
   kBadMagic,           // not a checkpoint at all
-  kOldVersion,         // v1 magic: unverifiable format, rejected by design
+  kOldVersion,         // v1 or v2 magic: superseded format, rejected by design
   kBadLength,          // length field exceeds the payload cap
   kTruncated,          // stream ended before the declared payload length
   kChecksumMismatch,   // payload bytes fail the FNV-1a-64 check
-  kBadHeader,          // verified payload too short for counters/rank count
-  kBadRankSection,     // rank count implies more state than the payload holds
+  kBadHeader,          // verified payload too short for the RNG state/counters
   kBadForest,          // forest section malformed or empty
 };
 

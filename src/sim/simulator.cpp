@@ -11,7 +11,7 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
   // In photon-stream mode ids index disjoint RNG blocks; a resumed leg simply
   // continues the id sequence, which is inherently a bitwise continuation.
   std::uint64_t next_photon = resume_from ? resume_from->counters.emitted : 0;
-  Lcg48 rng(config.seed, config.rank, config.nranks);
+  Lcg48 rng(config.seed);
   if (resume_from) {
     result.forest = resume_from->forest;
     result.counters = resume_from->counters;
@@ -20,8 +20,8 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
     } else if (resume_from->rng_mul != 0) {
       rng.set_raw(resume_from->rng_state, resume_from->rng_mul, resume_from->rng_add);
     } else {
-      // Checkpoint from a backend with no single generator state (shared,
-      // dist-*): adopting raw zeros would degenerate the LCG to a constant
+      // Checkpoint from a backend with no single generator state (hybrid
+      // and its shapes, dist-spatial): adopting raw zeros would degenerate the LCG to a constant
       // stream. Continue on a disjoint block of the global sequence instead,
       // far past anything the first leg can have drawn (same 4096-element
       // blocks as the per-photon streams).
@@ -63,25 +63,15 @@ RunResult run_serial(const Scene& scene, const RunConfig& config,
     prev_t = t;
     progress_tick(config, "serial", done);
     if (config.max_seconds > 0.0 && t >= config.max_seconds) break;
-    if (config.governed) {
-      if (preempt_requested(config)) {
-        acknowledge_preempt(config);
-        result.status = RunStatus::kPreempted;
-        break;
-      }
-      if (config.memory_budget != 0 &&
-          result.forest.memory_bytes() > config.memory_budget) {
-        result.status = RunStatus::kOverBudget;
-        break;
-      }
-    }
+    result.status = governed_stop(config, result.forest);
+    if (result.status != RunStatus::kComplete) break;
   }
 
   result.trace = sampler.finish(done);
   result.memory = sampler.take_memory();
   if (config.adapt_batch) {
-    // Surface the controller's size sequence (the Table 5.3 telemetry) the
-    // same way the distributed backends do, as rank 0's report.
+    // Surface the controller's size sequence (the Table 5.3 telemetry) as
+    // rank 0's report.
     result.ranks.resize(1);
     result.ranks[0].traced = done;
     result.ranks[0].batch_sizes = controller.history();

@@ -8,12 +8,12 @@
 // resume legs at default shapes; pinning it bitwise only requires adding its
 // contract here. Two reference kinds exist, matching the two RNG schemes:
 //
-//   kSerial        run_serial's continuous leapfrog stream — the backends
-//                  that replay that exact stream (shared@1, dist-particle@1)
+//   kSerial        run_serial's continuous stream — serial itself
 //   kPhotonStreams serial with RunConfig::photon_streams — per-photon
 //                  disjoint RNG blocks, the reference for the backends whose
 //                  answer is independent of their decomposition
-//                  (dist-spatial@1, hybrid at EVERY groups×threads shape)
+//                  (dist-spatial@1; hybrid, and its `shared` and
+//                  `dist-particle` shapes, at EVERY shape)
 //
 // The suite is additionally parameterized over the acceleration structure
 // behind the AccelStructure seam: every backend runs the matrix on
@@ -68,17 +68,18 @@ BackendContract contract_for(const std::string& name) {
     return {{{1, 1}}, Reference::kSerial, true, true, true};
   }
   if (name == "shared") {
-    // Pool-backed chunk scheduling (engine/pool.hpp): bitwise equal to the
-    // serial photon-stream reference at EVERY worker count — including the
-    // oversubscribed 1x8 — with bitwise resume and repeatability. The seed's
-    // leapfrog version pinned only totals at T > 1; this contract is
-    // strictly stronger.
+    // Hybrid at one group, pool-backed chunk scheduling (engine/pool.hpp):
+    // bitwise equal to the serial photon-stream reference at EVERY worker
+    // count — including the oversubscribed 1x8 — with bitwise resume and
+    // repeatability.
     return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, Reference::kPhotonStreams, true, true, true};
   }
   if (name == "dist-particle") {
-    // Resume is bitwise at an unchanged shape with aligned batches — which
-    // is how the resume leg below runs every backend.
-    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kSerial, false, true, true};
+    // Hybrid at `workers` one-thread groups (the alias ignores `groups`):
+    // bitwise equal to the serial photon-stream reference at every rank
+    // count, with bitwise resume. Its leapfrog predecessor was pinned to
+    // the continuous-stream reference at 1x1 only.
+    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kPhotonStreams, true, true, true};
   }
   if (name == "dist-spatial") {
     return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kPhotonStreams, false, false, true};
@@ -155,8 +156,6 @@ const RunResult& reference_run(Reference kind, const NamedScene& cell) {
   if (it != cache.end()) return it->second;
   RunConfig cfg = config_for({1, 1}, cell.photons);
   cfg.photon_streams = kind == Reference::kPhotonStreams;
-  cfg.rank = 0;
-  cfg.nranks = 1;
   return cache.emplace(key, run_serial(*cell.scene, cfg)).first->second;
 }
 
@@ -282,12 +281,10 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                          });
 
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
-// at width P1 through the v2 byte-format round-trip. Conservation holds for
+// at width P1 through the v3 byte-format round-trip. Conservation holds for
 // every (P0, P1) cell; bitwise equality where the RNG scheme is
-// shape-invariant — hybrid everywhere (per-photon streams), dist-particle
-// only at an unchanged width with aligned batches (its leapfrog streams are
-// shape-bound; at a changed width the resume degrades to disjoint-block
-// streams, the conservative re-trace).
+// shape-invariant — hybrid and dist-particle (per-photon streams)
+// everywhere.
 class ElasticResumeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
@@ -310,7 +307,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
         leg2.batch = 100;
         const RunResult first = run_named(backend, *cell.scene, leg1);
 
-        // Through the v2 byte format, not just the in-memory object: this is
+        // Through the v3 byte format, not just the in-memory object: this is
         // the rank/group-count elasticity photon_cli's --resume exercises.
         std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
         save_checkpoint(first, buf);
@@ -324,7 +321,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
                   resumed.counters.emitted + resumed.counters.bounces)
             << label;
 
-        const bool bitwise = width_is_groups || (backend == "dist-particle" && P0 == P1);
+        const bool bitwise = backend != "dist-spatial";
         if (bitwise) {
           RunConfig straight_cfg = config_for(shape1, total);
           straight_cfg.batch = 100;

@@ -1,15 +1,29 @@
-#include "par/dist.hpp"
-
+// The `dist-particle` backend (Fig 5.3) — hybrid at `workers` groups of
+// one thread each, reached through the registry the way the CLI and the
+// service reach it.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <tuple>
 
+#include "engine/backend.hpp"
 #include "geom/scenes.hpp"
 #include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
+
+RunResult dist_run(const Scene& scene, const RunConfig& config,
+                   const RunResult* resume = nullptr) {
+  return make_backend("dist-particle")->run(scene, config, resume);
+}
+
+// The serial photon-stream reference every shape of hybrid equals.
+RunResult stream_reference(const Scene& scene, const RunConfig& config) {
+  RunConfig rc = config;
+  rc.photon_streams = true;
+  return run_serial(scene, rc);
+}
 
 class DistSimTest : public ::testing::TestWithParam<int> {};
 
@@ -21,7 +35,7 @@ TEST_P(DistSimTest, TracesTheGlobalBudget) {
   cfg.adapt_batch = false;
   cfg.batch = 500;
   cfg.workers = P;
-  const RunResult r = run_distributed(s, cfg);
+  const RunResult r = dist_run(s, cfg);
 
   std::uint64_t traced = 0;
   for (const RankReport& rep : r.ranks) traced += rep.traced;
@@ -29,37 +43,20 @@ TEST_P(DistSimTest, TracesTheGlobalBudget) {
   EXPECT_EQ(r.forest.emitted_total(), traced);
 }
 
-TEST_P(DistSimTest, MatchesUnionOfSerialLeapfrogRuns) {
+TEST_P(DistSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   // The defining correctness property: distributing the bin forest must not
-  // change the answer. Rank r draws from stream (seed, r, P), so the gathered
-  // per-patch totals must equal the union of P serial leapfrog runs.
+  // change the answer — at every rank count the gathered forest is the
+  // serial photon-stream reference, bit for bit.
   const int P = GetParam();
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 2000 * static_cast<std::uint64_t>(P);
-  cfg.adapt_batch = false;
   cfg.batch = 500;
   cfg.workers = P;
-  const RunResult dist = run_distributed(s, cfg);
-
-  std::vector<std::uint64_t> serial_tallies(s.patch_count(), 0);
-  for (int rank = 0; rank < P; ++rank) {
-    RunConfig sc;
-    sc.photons = 2000;
-    sc.seed = cfg.seed;
-    sc.rank = rank;
-    sc.nranks = P;
-    const RunResult r = run_serial(s, sc);
-    const auto tallies = r.forest.patch_tallies();
-    for (std::size_t p = 0; p < tallies.size(); ++p) serial_tallies[p] += tallies[p];
-  }
-
-  const auto dist_tallies = dist.forest.patch_tallies();
-  for (std::size_t p = 0; p < s.patch_count(); ++p) {
-    EXPECT_NEAR(static_cast<double>(dist_tallies[p]), static_cast<double>(serial_tallies[p]),
-                static_cast<double>(dist.forest.total_nodes()))
-        << "patch " << p;
-  }
+  const RunResult dist = dist_run(s, cfg);
+  const RunResult ref = stream_reference(s, cfg);
+  EXPECT_TRUE(dist.forest == ref.forest) << "P=" << P;
+  EXPECT_EQ(dist.counters.bounces, ref.counters.bounces);
 }
 
 TEST_P(DistSimTest, OwnershipCoversEveryPatch) {
@@ -69,7 +66,7 @@ TEST_P(DistSimTest, OwnershipCoversEveryPatch) {
   cfg.photons = 1000;
   cfg.adapt_batch = false;
   cfg.workers = P;
-  const RunResult r = run_distributed(s, cfg);
+  const RunResult r = dist_run(s, cfg);
   ASSERT_EQ(r.balance.owner.size(), s.patch_count());
   for (const int o : r.balance.owner) {
     EXPECT_GE(o, 0);
@@ -85,7 +82,7 @@ TEST_P(DistSimTest, ProcessedSumsToAllRecords) {
   cfg.adapt_batch = false;
   cfg.batch = 250;
   cfg.workers = P;
-  const RunResult r = run_distributed(s, cfg);
+  const RunResult r = dist_run(s, cfg);
 
   std::uint64_t processed = 0, records = 0;
   for (const RankReport& rep : r.ranks) {
@@ -105,7 +102,7 @@ TEST_P(DistSimTest, MessagesFlowWhenDistributed) {
   cfg.photons = 2000;
   cfg.adapt_batch = false;
   cfg.workers = P;
-  const RunResult r = run_distributed(s, cfg);
+  const RunResult r = dist_run(s, cfg);
   std::uint64_t bytes = 0;
   for (const RankReport& rep : r.ranks) bytes += rep.sent_bytes;
   EXPECT_GT(bytes, 0u);
@@ -120,17 +117,14 @@ TEST(DistSim, NaiveAndBestFitBothCorrect) {
   best.adapt_batch = naive.adapt_batch = false;
   naive.bestfit = false;
   best.workers = 4;
-  const RunResult rb = run_distributed(s, best);
+  const RunResult rb = dist_run(s, best);
   naive.workers = 4;
-  const RunResult rn = run_distributed(s, naive);
+  const RunResult rn = dist_run(s, naive);
 
-  // Same photons traced either way; only the ownership differs.
-  const auto tb = rb.forest.patch_tallies();
-  const auto tn = rn.forest.patch_tallies();
-  for (std::size_t p = 0; p < s.patch_count(); ++p) {
-    EXPECT_NEAR(static_cast<double>(tb[p]), static_cast<double>(tn[p]),
-                static_cast<double>(rb.forest.total_nodes()));
-  }
+  // Same photons traced either way; only the ownership differs, and the
+  // canonical apply order makes the gathered forests identical.
+  EXPECT_TRUE(rb.forest == rn.forest);
+  EXPECT_NE(rb.balance.owner, rn.balance.owner);
 }
 
 TEST(DistSim, BestFitBalancesProcessedCounts) {
@@ -143,9 +137,9 @@ TEST(DistSim, BestFitBalancesProcessedCounts) {
   best.batch = naive.batch = 500;
   naive.bestfit = false;
   best.workers = 8;
-  const RunResult rb = run_distributed(s, best);
+  const RunResult rb = dist_run(s, best);
   naive.workers = 8;
-  const RunResult rn = run_distributed(s, naive);
+  const RunResult rn = dist_run(s, naive);
 
   auto spread = [](const RunResult& r) {
     std::uint64_t lo = UINT64_MAX, hi = 0;
@@ -158,27 +152,13 @@ TEST(DistSim, BestFitBalancesProcessedCounts) {
   EXPECT_LT(spread(rb), spread(rn));
 }
 
-TEST(DistSim, AdaptiveBatchesGrow) {
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 30000;
-  cfg.adapt_batch = true;
-  cfg.batch_policy.initial = 500;
-  cfg.workers = 2;
-  const RunResult r = run_distributed(s, cfg);
-  ASSERT_FALSE(r.ranks[0].batch_sizes.empty());
-  EXPECT_EQ(r.ranks[0].batch_sizes.front(), 500u);
-  // All ranks agreed on every batch size.
-  EXPECT_EQ(r.ranks[0].batch_sizes, r.ranks[1].batch_sizes);
-}
-
 TEST(DistSim, GatheredForestIsComplete) {
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 6000;
   cfg.adapt_batch = false;
   cfg.workers = 4;
-  const RunResult r = run_distributed(s, cfg);
+  const RunResult r = dist_run(s, cfg);
   // Every patch that received probe photons must show tallies in the
   // gathered forest (owners were spread across ranks).
   const auto tallies = r.forest.patch_tallies();
@@ -189,8 +169,8 @@ TEST(DistSim, GatheredForestIsComplete) {
   EXPECT_FALSE(r.trace.points.empty());
 }
 
-// Determinism through the RouterSink/overlap path: rank count x batch size
-// (the exchange threshold) must never make a run irreproducible.
+// Determinism through the OrderedRouter exchange: rank count x batch size
+// (the exchange window) must never make a run irreproducible.
 class DistDeterminismTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
@@ -202,8 +182,8 @@ TEST_P(DistDeterminismTest, RepeatedRunsAreBitwiseIdentical) {
   cfg.adapt_batch = false;
   cfg.batch = batch;
   cfg.workers = P;
-  const RunResult a = run_distributed(s, cfg);
-  const RunResult b = run_distributed(s, cfg);
+  const RunResult a = dist_run(s, cfg);
+  const RunResult b = dist_run(s, cfg);
   EXPECT_TRUE(a.forest == b.forest) << "P=" << P << " batch=" << batch;
   EXPECT_EQ(a.counters.bounces, b.counters.bounces);
 }
@@ -214,97 +194,86 @@ INSTANTIATE_TEST_SUITE_P(RanksAndBatches, DistDeterminismTest,
 
 class DistSerialEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DistSerialEquivalenceTest, OneRankIsBitwiseSerialAtAnyBatch) {
-  // The acceptance bar for the zero-copy/overlap rework: dist@1 stays
-  // bitwise identical to serial at every exchange threshold.
+TEST_P(DistSerialEquivalenceTest, OneRankIsBitwisePhotonStreamSerialAtAnyBatch) {
+  // dist@1 stays bitwise identical to the serial photon-stream reference at
+  // every exchange window.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 1500;
   cfg.adapt_batch = false;
   cfg.batch = GetParam();
   cfg.workers = 1;
-  const RunResult dist = run_distributed(s, cfg);
-
-  RunConfig sc;
-  sc.photons = cfg.photons;
-  sc.seed = cfg.seed;
-  sc.rank = 0;
-  sc.nranks = 1;
-  const RunResult serial = run_serial(s, sc);
-  EXPECT_TRUE(dist.forest == serial.forest) << "batch=" << cfg.batch;
+  const RunResult dist = dist_run(s, cfg);
+  EXPECT_TRUE(dist.forest == stream_reference(s, cfg).forest) << "batch=" << cfg.batch;
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, DistSerialEquivalenceTest,
                          ::testing::Values(1u, 64u, 4096u));
 
 TEST(DistSim, ResumeAtSameShapeIsABitwiseContinuation) {
-  // The checkpoint carries every rank's exact generator state, and owned
-  // records apply in canonical batch order, so leg1 + leg2 at the same rank
-  // count — with leg1 ending on a batch boundary — reproduces an
-  // uninterrupted run bit for bit (the ROADMAP's dist-resume open item).
+  // Photon ids continue where the checkpoint stopped and owned records
+  // apply in canonical window order, so leg1 + leg2 — with leg1 ending on a
+  // window boundary — reproduces an uninterrupted run bit for bit.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
-  leg1_cfg.photons = 2000;  // 2 rounds of 500 x 2 ranks
+  leg1_cfg.photons = 2000;  // 4 windows of 500
   leg1_cfg.adapt_batch = false;
   leg1_cfg.batch = 500;
   leg1_cfg.workers = 2;
-  const RunResult leg1 = run_distributed(s, leg1_cfg);
-  for (const RankReport& rep : leg1.ranks) ASSERT_NE(rep.rng_mul, 0u);
+  const RunResult leg1 = dist_run(s, leg1_cfg);
 
   RunConfig leg2_cfg = leg1_cfg;
   leg2_cfg.photons = 1000;
-  const RunResult resumed = run_distributed(s, leg2_cfg, &leg1);
+  const RunResult resumed = dist_run(s, leg2_cfg, &leg1);
 
   RunConfig straight_cfg = leg1_cfg;
   straight_cfg.photons = 3000;
-  const RunResult straight = run_distributed(s, straight_cfg);
+  const RunResult straight = dist_run(s, straight_cfg);
 
   EXPECT_TRUE(resumed.forest == straight.forest);
   EXPECT_EQ(resumed.counters.emitted, straight.counters.emitted);
   EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces);
-  // And the continuation's end state matches too, so a chain of resumed legs
-  // keeps reproducing the uninterrupted run.
-  for (std::size_t r = 0; r < resumed.ranks.size(); ++r) {
-    EXPECT_EQ(resumed.ranks[r].rng_state, straight.ranks[r].rng_state) << "rank " << r;
-  }
 }
 
-TEST(DistSim, ResumeAtDifferentShapeFallsBackToDisjointStreams) {
-  // A checkpoint from another rank count has no state for these streams; the
-  // continuation must still conserve every tally and add exactly
-  // config.photons fresh photons (the pre-PR-5 behavior).
+TEST(DistSim, ResumeAtDifferentShapeIsABitwiseContinuation) {
+  // Per-photon streams carry no per-rank state, so a checkpoint taken at 4
+  // ranks resumes bitwise at 2.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
   leg1_cfg.photons = 2000;
   leg1_cfg.adapt_batch = false;
   leg1_cfg.batch = 500;
   leg1_cfg.workers = 4;
-  const RunResult leg1 = run_distributed(s, leg1_cfg);
+  const RunResult leg1 = dist_run(s, leg1_cfg);
 
   RunConfig leg2_cfg = leg1_cfg;
   leg2_cfg.workers = 2;
   leg2_cfg.photons = 1000;
-  const RunResult resumed = run_distributed(s, leg2_cfg, &leg1);
+  const RunResult resumed = dist_run(s, leg2_cfg, &leg1);
   EXPECT_EQ(resumed.counters.emitted, 3000u);
   EXPECT_EQ(resumed.forest.emitted_total(), 3000u);
+
+  RunConfig straight_cfg = leg2_cfg;
+  straight_cfg.photons = 3000;
+  EXPECT_TRUE(resumed.forest == dist_run(s, straight_cfg).forest);
 }
 
 TEST(DistSim, ResumeConservesAndReproduces) {
   // Distributed resume: the checkpoint's trees fold into the partitions
   // (BinForest/BinTree merge) and the continuation adds exactly
-  // config.photons more photons on a disjoint stream.
+  // config.photons more photons, continuing the photon-id sequence.
   const Scene s = scenes::cornell_box();
   RunConfig leg1_cfg;
   leg1_cfg.photons = 2000;
   leg1_cfg.adapt_batch = false;
   leg1_cfg.batch = 500;
   leg1_cfg.workers = 4;
-  const RunResult leg1 = run_distributed(s, leg1_cfg);
+  const RunResult leg1 = dist_run(s, leg1_cfg);
 
   RunConfig leg2_cfg = leg1_cfg;
   leg2_cfg.photons = 1000;
-  const RunResult resumed = run_distributed(s, leg2_cfg, &leg1);
-  const RunResult resumed_again = run_distributed(s, leg2_cfg, &leg1);
+  const RunResult resumed = dist_run(s, leg2_cfg, &leg1);
+  const RunResult resumed_again = dist_run(s, leg2_cfg, &leg1);
 
   EXPECT_EQ(resumed.forest.emitted_total(), 3000u);
   EXPECT_EQ(resumed.counters.emitted, 3000u);
@@ -317,15 +286,15 @@ TEST(DistSim, ResumeConservesAndReproduces) {
 }
 
 TEST(DistSim, SingleRankPutsNothingOnTheWire) {
-  // (dist@1 == serial bitwise is pinned, per scene, by the conformance
-  // suite; this keeps the traffic claim.)
+  // (dist@1 == the serial photon-stream reference is pinned, per scene, by
+  // the conformance suite; this keeps the traffic claim.)
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 1000;
   cfg.adapt_batch = false;
   cfg.batch = 500;
   cfg.workers = 1;
-  const RunResult dist = run_distributed(s, cfg);
+  const RunResult dist = dist_run(s, cfg);
   EXPECT_EQ(dist.ranks[0].sent_bytes, 0u);
 }
 

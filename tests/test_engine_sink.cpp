@@ -1,18 +1,14 @@
-// BufferedForestSink contracts: batching may reorder records *across* trees
-// but never within one, so a single worker stays bitwise identical to the
-// serial ForestSink at any flush threshold, and multi-worker runs conserve
-// per-tree record totals.
+// Record-router contracts (engine/sink.hpp): OrderedRouter applies a window
+// in source-rank order with this rank's own records read in place, and
+// routes only foreign records onto the wire; RouterSink tallies owned
+// records at once.
 #include "engine/sink.hpp"
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <vector>
 
-#include "engine/backend.hpp"
-#include "geom/scenes.hpp"
-#include "par/shared.hpp"
-#include "sim/simulator.hpp"
+#include "core/rng.hpp"
 
 namespace photon {
 namespace {
@@ -29,50 +25,32 @@ BounceRecord make_record(Lcg48& rng, int n_patches) {
   return rec;
 }
 
-TEST(BufferedForestSink, MatchesDirectForestSinkBitwise) {
-  const int n_patches = 7;
-  const int n_records = 5000;
-  BinForest direct(n_patches);
-  BinForest buffered(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-
-  ForestSink direct_sink(direct);
-  {
-    // Deliberately awkward threshold so the final flush happens mid-buffer
-    // through the destructor.
-    BufferedForestSink buffered_sink(buffered, mutexes, 33);
-    Lcg48 rng_a(42);
-    Lcg48 rng_b(42);
-    for (int i = 0; i < n_records; ++i) {
-      direct_sink.record(make_record(rng_a, n_patches));
-      buffered_sink.record(make_record(rng_b, n_patches));
-    }
-  }  // destructor flushes the tail
-
-  EXPECT_TRUE(direct == buffered);
-}
-
-TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
-  // The canonical-order seam of dist-particle and hybrid: this rank's held
-  // slice must apply in its own source slot, between the neighbours'
-  // incoming buffers, so per-tree order is a pure function of the batch
-  // schedule. Reproduce the order by hand against a plain ForestSink.
+TEST(OrderedRouter, AppliesOneWindowInSourceRankOrder) {
+  // The canonical-order seam of hybrid: this rank's own buffers must apply
+  // in its own source slot, between the neighbours' incoming buffers, so
+  // per-tree order is a pure function of the window schedule. Reproduce the
+  // order by hand against a plain ForestSink.
   const int n_patches = 5;
   const int rank = 1, P = 3;
   std::vector<int> owner(n_patches, rank);  // everything owned here
   Lcg48 rng(7);
 
-  // Source-rank slices of one batch window, each in its trace order.
+  // Source-rank slices of one window, each in its trace order; this rank's
+  // slice arrives as three chunk buffers.
   std::vector<std::vector<BounceRecord>> slices(P);
   for (int s = 0; s < P; ++s) {
     for (int i = 0; i < 200; ++i) slices[static_cast<std::size_t>(s)].push_back(make_record(rng, n_patches));
   }
+  const std::vector<BounceRecord>& mine = slices[static_cast<std::size_t>(rank)];
+  const std::vector<std::vector<BounceRecord>> chunks = {
+      {mine.begin(), mine.begin() + 70}, {}, {mine.begin() + 70, mine.end()}};
 
   BinForest routed(n_patches);
   std::uint64_t applied = 0;
   WireBuffer wire(P);
-  OrderedRouterSink sink(routed, owner, rank, wire, applied);
-  for (const BounceRecord& rec : slices[static_cast<std::size_t>(rank)]) sink.record(rec);
+  OrderedRouter router(routed, owner, rank, wire, applied);
+  for (const std::vector<BounceRecord>& chunk : chunks) router.route(chunk);
+  EXPECT_TRUE(wire.empty());  // every record is owned here
   std::vector<Bytes> incoming(P);
   for (int s = 0; s < P; ++s) {
     if (s == rank) continue;
@@ -80,7 +58,7 @@ TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
     for (const BounceRecord& rec : slices[static_cast<std::size_t>(s)]) w.append(rank, to_wire(rec));
     incoming[static_cast<std::size_t>(s)] = w.take()[static_cast<std::size_t>(rank)];
   }
-  sink.apply_batch(sink.take_held(), incoming);
+  router.apply_window(chunks, incoming);
 
   BinForest expected(n_patches);
   ForestSink direct(expected);
@@ -91,102 +69,55 @@ TEST(OrderedRouterSink, AppliesOneBatchInSourceRankOrder) {
   EXPECT_EQ(applied, static_cast<std::uint64_t>(P) * 200u);
 }
 
-TEST(OrderedRouterSink, RoutesForeignRecordsToTheWire) {
+TEST(OrderedRouter, RoutesOnlyForeignRecordsToTheWire) {
   const int n_patches = 4;
   std::vector<int> owner = {0, 1, 0, 1};
   Lcg48 rng(11);
+  std::vector<std::vector<BounceRecord>> chunks(1);
+  for (int i = 0; i < 100; ++i) chunks[0].push_back(make_record(rng, n_patches));
+  std::size_t owned = 0;
+  for (const BounceRecord& rec : chunks[0]) owned += owner[static_cast<std::size_t>(rec.patch)] == 0;
+
   BinForest forest(n_patches);
   std::uint64_t applied = 0;
   WireBuffer wire(2);
-  OrderedRouterSink sink(forest, owner, 0, wire, applied);
-  for (int i = 0; i < 100; ++i) sink.record(make_record(rng, n_patches));
-  const std::vector<BounceRecord> held = sink.take_held();
-  // Held records are all owned; everything else went to rank 1's buffer.
-  for (const BounceRecord& rec : held) EXPECT_EQ(owner[static_cast<std::size_t>(rec.patch)], 0);
-  EXPECT_EQ(held.size() + wire.buffer(1).size() / sizeof(WireRecord), 100u);
+  OrderedRouter router(forest, owner, 0, wire, applied);
+  router.route(chunks[0]);
+  // Everything foreign went to rank 1's buffer; nothing is tallied until
+  // apply_window runs.
+  EXPECT_EQ(owned + wire.buffer(1).size() / sizeof(WireRecord), 100u);
   EXPECT_TRUE(wire.buffer(0).empty());
-  // Nothing is tallied until apply_batch runs.
   EXPECT_EQ(applied, 0u);
   EXPECT_EQ(forest.total_tally_all(), 0u);
+
+  // Applying the window with nothing incoming tallies exactly the owned
+  // records.
+  router.apply_window(chunks, std::vector<Bytes>(2));
+  EXPECT_EQ(applied, owned);
+  EXPECT_EQ(forest.total_tally_all(), owned);
 }
 
-TEST(BufferedForestSink, ExplicitFlushDrainsEverything) {
-  const int n_patches = 3;
+TEST(RouterSink, TalliesOwnedRecordsAtOnceAndSerializesTheRest) {
+  const int n_patches = 4;
+  std::vector<int> owner = {0, 1, 0, 1};
+  Lcg48 rng(13);
   BinForest forest(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-  BufferedForestSink sink(forest, mutexes, 1000000);  // never auto-flushes
-  Lcg48 rng(9);
-  for (int i = 0; i < 123; ++i) sink.record(make_record(rng, n_patches));
-  EXPECT_EQ(forest.total_tally_all(), 0u);  // still buffered
-  sink.flush();
-  EXPECT_EQ(forest.total_tally_all(), 123u);
-  sink.flush();  // idempotent on an empty buffer
-  EXPECT_EQ(forest.total_tally_all(), 123u);
+  std::uint64_t applied = 0;
+  WireBuffer wire(2);
+  RouterSink sink(forest, owner, 0, wire, applied);
+  for (int i = 0; i < 100; ++i) sink.record(make_record(rng, n_patches));
+  EXPECT_EQ(forest.total_tally_all(), applied);
+  EXPECT_EQ(applied + wire.buffer(1).size() / sizeof(WireRecord), 100u);
+
+  // The owner applies the serialized records unconditionally.
+  BinForest remote(n_patches);
+  std::uint64_t remote_applied = 0;
+  WireBuffer unused(2);
+  RouterSink remote_sink(remote, owner, 1, unused, remote_applied);
+  remote_sink.apply_incoming(wire.take()[1]);
+  EXPECT_EQ(remote_applied + applied, 100u);
+  EXPECT_EQ(remote.total_tally_all(), remote_applied);
 }
-
-TEST(BufferedForestSink, ThresholdIsClampedToOne) {
-  const int n_patches = 2;
-  BinForest forest(n_patches);
-  std::vector<std::mutex> mutexes(2 * n_patches);
-  BufferedForestSink sink(forest, mutexes, 0);
-  EXPECT_EQ(sink.threshold(), 1u);
-  Lcg48 rng(5);
-  sink.record(make_record(rng, n_patches));
-  // Threshold 1 flushes on every record — nothing left buffered.
-  EXPECT_EQ(forest.total_tally_all(), 1u);
-}
-
-class BufferedSharedTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BufferedSharedTest, OneWorkerIsBitwisePhotonStreamSerialAtAnyThreshold) {
-  // The pool-backed shared path no longer routes through BufferedForestSink
-  // (chunk buffers drain single-threaded), so sink_buffer must be inert: at
-  // every threshold shared@1 stays bitwise equal to the serial photon-stream
-  // reference.
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 3000;
-  cfg.workers = 1;
-  cfg.sink_buffer = GetParam();
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult serial = run_serial(s, rc);
-  const RunResult shared = run_shared(s, cfg);
-  EXPECT_TRUE(serial.forest == shared.forest)
-      << "sink_buffer=" << cfg.sink_buffer << " broke shared@1 determinism";
-  EXPECT_EQ(serial.counters.bounces, shared.counters.bounces);
-}
-
-TEST_P(BufferedSharedTest, FourWorkersMatchPerTreeTotalsExactly) {
-  // Every photon draws from its own disjoint stream, so four pool workers
-  // reproduce the serial photon-stream run's per-tree record totals EXACTLY
-  // (the old leapfrog-union version of this test needed a split-rounding
-  // tolerance; the bitwise contract needs none).
-  const int T = 4;
-  const Scene s = scenes::cornell_box();
-  RunConfig cfg;
-  cfg.photons = 2000 * static_cast<std::uint64_t>(T);
-  cfg.workers = T;
-  cfg.sink_buffer = GetParam();
-  const RunResult shared = run_shared(s, cfg);
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
-
-  ASSERT_EQ(shared.forest.tree_count(), ref.forest.tree_count());
-  for (std::size_t i = 0; i < shared.forest.tree_count(); ++i) {
-    for (int ch = 0; ch < kNumChannels; ++ch) {
-      EXPECT_EQ(shared.forest.tree_at(static_cast<int>(i)).total_tally(ch),
-                ref.forest.tree_at(static_cast<int>(i)).total_tally(ch))
-          << "tree " << i << " channel " << ch << " sink_buffer=" << cfg.sink_buffer;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, BufferedSharedTest,
-                         ::testing::Values(1u, 4u, 256u));
 
 }  // namespace
 }  // namespace photon

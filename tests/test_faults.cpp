@@ -57,14 +57,11 @@ const RunResult& stream_reference(const FaultScene& cell) {
   cfg.photons = cell.photons;
   cfg.batch = kWindow;
   cfg.photon_streams = true;
-  cfg.rank = 0;
-  cfg.nranks = 1;
   return cache.emplace(cell.name, run_serial(*cell.scene, cfg)).first->second;
 }
 
 void expect_conserved(const RunResult& r, std::uint64_t photons, const std::string& label) {
-  // Every budgeted photon emitted (dist-particle may overshoot by < P on the
-  // last capped batch), every record tallied exactly once.
+  // Every budgeted photon emitted, every record tallied exactly once.
   EXPECT_GE(r.counters.emitted, photons) << label;
   EXPECT_EQ(r.forest.emitted_total(), r.counters.emitted) << label;
   EXPECT_EQ(r.forest.total_tally_all(), r.counters.emitted + r.counters.bounces) << label;
@@ -170,9 +167,9 @@ TEST(ElasticRunner, KillMatrixEveryPointRecoversBitwiseOrFailsLoudly) {
   }
 }
 
-TEST(ElasticRunner, DistParticleRankDeathConservesTallies) {
-  // dist-particle's leapfrog streams are shape-bound, so recovery at the
-  // survivor shape contracts conservation, not bitwise equality.
+TEST(ElasticRunner, DistParticleRankDeathRecoversBitwise) {
+  // dist-particle is hybrid at one thread per group: a dead rank is a dead
+  // group, and recovery at the survivor width is bitwise like hybrid's.
   const FaultScene& cell = fault_scenes()[0];
   RunConfig cfg = fault_config(cell.photons);
   cfg.workers = 3;
@@ -184,6 +181,7 @@ TEST(ElasticRunner, DistParticleRankDeathConservesTallies) {
   ASSERT_EQ(stats.dead_ranks.size(), 1u);
   EXPECT_EQ(stats.dead_ranks[0], 2);
   EXPECT_EQ(stats.final_width, 2);
+  EXPECT_TRUE(r.forest == stream_reference(cell).forest);
   expect_conserved(r, cell.photons, "dist-particle");
 }
 

@@ -26,8 +26,6 @@ RunConfig hybrid_config(int groups, int workers) {
 RunResult reference_run(const Scene& s, const RunConfig& cfg) {
   RunConfig ref = cfg;
   ref.photon_streams = true;
-  ref.rank = 0;
-  ref.nranks = 1;
   return run_serial(s, ref);
 }
 
@@ -120,10 +118,6 @@ TEST(HybridSim, MessagesFlowBetweenGroups) {
   EXPECT_GT(r.ranks[0].rounds, 0u);
   ASSERT_EQ(r.balance.owner.size(), s.patch_count());
 }
-
-// (run_photon_streams — the reference dist-spatial has always been pinned to
-// — now *delegates* to serial's photon_streams mode, so the two references
-// are one implementation by construction.)
 
 TEST(HybridSim, SerialPhotonStreamResumeIsBitwise) {
   const Scene s = scenes::cornell_box();

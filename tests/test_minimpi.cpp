@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace photon {
 namespace {
@@ -374,6 +376,46 @@ TEST(MiniMpiFaults, SilentDeathIsDeclaredByTheHeartbeatDetector) {
     EXPECT_EQ(f.dead_ranks[0], 0);
   }
   EXPECT_EQ(kind, CommErrorKind::kPeerDead);
+}
+
+TEST(MiniMpiFaults, ARankDeclaredDeadCannotDeclareItsJudgeDead) {
+  // Two ranks blocked on each other, both with stale heartbeats. Rank 0's
+  // short wait expires first and its detector declares rank 1 dead; rank 0
+  // then stays in the world (exiting would wake rank 1) until rank 1's
+  // longer wait on it expires too. The first verdict wins: rank 1, already
+  // dead, must not declare rank 0 dead — that would leave no survivor for
+  // the elastic runner to shrink to. Its error is a collateral abort.
+  WorldOptions opt;
+  opt.policy.deadline_s = 0.05;
+  opt.policy.retries = 0;
+  opt.policy.heartbeats = true;
+  std::string judged_error;
+  try {
+    run_world(2, opt, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        try {
+          comm.recv(1, 0, 0.05);
+          FAIL() << "recv from a silent rank returned";
+        } catch (const CommError&) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+          throw;
+        }
+      } else {
+        try {
+          comm.recv(0, 0, 0.3);
+          FAIL() << "recv from a blocked rank returned";
+        } catch (const CommError& e) {
+          judged_error = e.what();
+          throw;
+        }
+      }
+    });
+    FAIL() << "expected WorldFailure";
+  } catch (const WorldFailure& f) {
+    EXPECT_EQ(f.dead_ranks, std::vector<int>{1});
+  }
+  EXPECT_NE(judged_error.find("rank 1 was itself declared dead"), std::string::npos)
+      << judged_error;
 }
 
 TEST(MiniMpiFaults, PeerExitUnblocksUnboundedRecv) {

@@ -297,8 +297,7 @@ TEST(Service, AdmissibleJobsQueueForBudgetInsteadOfRefusing) {
   // results stay full-length.
   const Scene scene = scenes::cornell_box();
   const JobSpec probe = small_job("serial", 4000);
-  const std::uint64_t one_job =
-      admission_estimate_bytes(scene, probe.config, probe.config.sink_buffer);
+  const std::uint64_t one_job = admission_estimate_bytes(scene, probe.config);
   ASSERT_GT(one_job, 0u);
 
   ServiceConfig cfg;

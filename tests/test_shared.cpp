@@ -1,15 +1,21 @@
-#include "par/shared.hpp"
-
+// The `shared` backend (Fig 5.2) — hybrid at one group of `workers`
+// threads, reached through the registry the way the CLI and the service
+// reach it.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "engine/backend.hpp"
 #include "engine/pool.hpp"
 #include "geom/scenes.hpp"
 #include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
+
+RunResult shared_run(const Scene& scene, const RunConfig& config) {
+  return make_backend("shared")->run(scene, config, nullptr);
+}
 
 class SharedSimTest : public ::testing::TestWithParam<int> {};
 
@@ -18,12 +24,12 @@ TEST_P(SharedSimTest, TracesExactlyTheRequestedPhotons) {
   RunConfig cfg;
   cfg.photons = 4001;  // deliberately not divisible by the thread count
   cfg.workers = GetParam();
-  const RunResult r = run_shared(s, cfg);
+  const RunResult r = shared_run(s, cfg);
 
   EXPECT_EQ(r.counters.emitted, cfg.photons);
   EXPECT_EQ(r.forest.emitted_total(), cfg.photons);
-  const std::uint64_t traced = std::accumulate(r.per_thread_traced.begin(),
-                                               r.per_thread_traced.end(), std::uint64_t{0});
+  const std::uint64_t traced = std::accumulate(r.pool.worker_photons.begin(),
+                                               r.pool.worker_photons.end(), std::uint64_t{0});
   EXPECT_EQ(traced, cfg.photons);
 }
 
@@ -33,7 +39,7 @@ TEST_P(SharedSimTest, PoolTelemetryAccountsForEveryPhotonAndChunk) {
   cfg.photons = 4001;  // deliberately not divisible by the chunk size
   cfg.workers = GetParam();
   cfg.chunk = 64;
-  const RunResult r = run_shared(s, cfg);
+  const RunResult r = shared_run(s, cfg);
 
   // Dynamic stealing makes the per-worker split uneven, but the telemetry
   // must still account for every photon and every chunk exactly.
@@ -41,7 +47,6 @@ TEST_P(SharedSimTest, PoolTelemetryAccountsForEveryPhotonAndChunk) {
   EXPECT_EQ(std::accumulate(r.pool.worker_photons.begin(), r.pool.worker_photons.end(),
                             std::uint64_t{0}),
             cfg.photons);
-  EXPECT_EQ(r.pool.worker_photons, r.per_thread_traced);
   EXPECT_EQ(r.pool.chunk_size, cfg.chunk);
   EXPECT_EQ(r.pool.chunks, chunk_count(cfg.photons, cfg.chunk));
   EXPECT_EQ(std::accumulate(r.pool.worker_chunks.begin(), r.pool.worker_chunks.end(),
@@ -57,7 +62,7 @@ TEST_P(SharedSimTest, TalliesConserveRecords) {
   RunConfig cfg;
   cfg.photons = 5000;
   cfg.workers = GetParam();
-  const RunResult r = run_shared(s, cfg);
+  const RunResult r = shared_run(s, cfg);
 
   // Total records = emission tallies + reflection tallies. Splits only
   // redistribute (one photon of rounding per split at most).
@@ -76,7 +81,7 @@ TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   cfg.photons = 6000;
   cfg.workers = T;
   cfg.chunk = 37;  // odd grain: chunk size must not matter either
-  const RunResult shared = run_shared(s, cfg);
+  const RunResult shared = shared_run(s, cfg);
 
   RunConfig rc = cfg;
   rc.photon_streams = true;
@@ -105,12 +110,12 @@ TEST(SharedSim, BitwiseUnderAdversarialStealSchedules) {
 
   {
     WorkerPool::ScheduleGuard guard(WorkerPool::TestSchedule::kForceSteal);
-    const RunResult r = run_shared(s, cfg);
+    const RunResult r = shared_run(s, cfg);
     EXPECT_TRUE(ref.forest == r.forest) << "forced-steal schedule";
   }
   for (std::uint64_t seed : {1ull, 42ull, 1337ull}) {
     WorkerPool::ScheduleGuard guard(WorkerPool::TestSchedule::kShuffle, seed);
-    const RunResult r = run_shared(s, cfg);
+    const RunResult r = shared_run(s, cfg);
     EXPECT_TRUE(ref.forest == r.forest) << "shuffle seed " << seed;
   }
 }
@@ -120,22 +125,37 @@ TEST(SharedSim, SpeedTraceIsPopulated) {
   RunConfig cfg;
   cfg.photons = 20000;
   cfg.workers = 2;
-  cfg.sample_interval_s = 0.01;
-  const RunResult r = run_shared(s, cfg);
+  cfg.batch = 5000;
+  const RunResult r = shared_run(s, cfg);
   EXPECT_FALSE(r.trace.points.empty());
   EXPECT_GT(r.trace.final_rate(), 0.0);
   EXPECT_EQ(r.trace.points.back().photons, cfg.photons);
 }
 
+TEST(SharedSim, IsOneGroupWhateverGroupsSays) {
+  // The alias fixes the shape: `groups` is ignored, so one rank owns every
+  // tree and nothing goes on the wire.
+  const Scene s = scenes::cornell_box();
+  RunConfig cfg;
+  cfg.photons = 3000;
+  cfg.workers = 3;
+  cfg.groups = 4;
+  const RunResult r = shared_run(s, cfg);
+  ASSERT_EQ(r.ranks.size(), 1u);
+  EXPECT_EQ(r.ranks[0].sent_bytes, 0u);
+  EXPECT_EQ(r.pool.worker_photons.size(), 3u);
+  EXPECT_EQ(r.ranks[0].processed, r.counters.emitted + r.counters.bounces);
+}
+
 TEST(SharedSim, FurnacePhysicsSurvivesConcurrency) {
-  // The furnace equilibrium must hold regardless of thread count: locks may
-  // reorder tallies but cannot lose photons.
+  // The furnace equilibrium must hold regardless of thread count: the
+  // schedule may reorder tracing but cannot lose photons.
   const double rho = 0.5;
   const Scene s = scenes::furnace_box(rho);
   RunConfig cfg;
   cfg.photons = 30000;
   cfg.workers = 4;
-  const RunResult r = run_shared(s, cfg);
+  const RunResult r = shared_run(s, cfg);
   EXPECT_NEAR(r.counters.bounces_per_photon(), rho / (1.0 - rho), 0.07);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/sampling.hpp"
@@ -162,17 +163,22 @@ TEST(Simulator, MaxSecondsStopsEarly) {
   EXPECT_GT(r.trace.total_photons, 0u);
 }
 
-TEST(Simulator, LeapfrogRanksPartitionWork) {
-  // Streams (seed, r, P) are disjoint, so per-rank runs must differ.
+TEST(Simulator, AdaptiveBatchesGrow) {
+  // Table 5.3's adaptive batch sizing is serial-only: the controller's size
+  // sequence surfaces as rank 0's batch_sizes, starting at the policy's
+  // initial size and growing while the rate does.
   const Scene s = scenes::cornell_box();
-  RunConfig a, b;
-  a.photons = b.photons = 2000;
-  a.rank = 0;
-  b.rank = 1;
-  a.nranks = b.nranks = 2;
-  const RunResult ra = run_serial(s, a);
-  const RunResult rb = run_serial(s, b);
-  EXPECT_FALSE(ra.forest == rb.forest);
+  RunConfig cfg;
+  cfg.photons = 30000;
+  cfg.adapt_batch = true;
+  cfg.batch_policy.initial = 500;
+  const RunResult r = run_serial(s, cfg);
+  ASSERT_EQ(r.ranks.size(), 1u);
+  ASSERT_GT(r.ranks[0].batch_sizes.size(), 1u);
+  EXPECT_EQ(r.ranks[0].batch_sizes.front(), 500u);
+  EXPECT_GT(*std::max_element(r.ranks[0].batch_sizes.begin(), r.ranks[0].batch_sizes.end()),
+            500u);
+  EXPECT_EQ(r.counters.emitted, cfg.photons);
 }
 
 TEST(Simulator, MirrorSceneBinsAngularly) {

@@ -7,9 +7,18 @@
 #include <tuple>
 
 #include "geom/scenes.hpp"
+#include "sim/simulator.hpp"
 
 namespace photon {
 namespace {
+
+// The reference run_spatial must reproduce: the same per-photon streams
+// traced serially against the full (replicated) index.
+RunResult run_photon_streams(const Scene& scene, const RunConfig& config) {
+  RunConfig reference = config;
+  reference.photon_streams = true;
+  return run_serial(scene, reference);
+}
 
 TEST(PartitionSpace, TilesTheSceneBounds) {
   const Scene s = scenes::cornell_box();
