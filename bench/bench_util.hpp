@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/json.hpp"
 #include "geom/scenes.hpp"
 
 namespace photon::benchutil {
@@ -43,27 +44,6 @@ inline const char* arg_str(int argc, char** argv, const char* name, const char* 
     }
   }
   return fallback;
-}
-
-// Escapes a user-supplied string for embedding in a JSON string literal
-// (quotes, backslashes, control characters) so a --label like `run "v2"`
-// cannot corrupt the bench artifact.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 inline void header(const char* title) {

@@ -104,6 +104,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "engine/backend.hpp"
 #include "engine/governor.hpp"
 #include "engine/recovery.hpp"
@@ -241,29 +242,6 @@ bool arg_vec3(const Args& args, const char* name, Vec3& out) {
 
 // ---- Error reporting -------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // One structured error surface for both humans and supervisors: stderr gets
 // the prose, --report=json stdout gets a machine-readable block with the
 // stable code and documented exit code.
@@ -385,10 +363,10 @@ int cmd_simulate_impl(const Args& args, const std::string& spec, const std::stri
         "--split-z must be > 0, --split-min/--split-leaf/--max-bounces >= 1, "
         "--split-growth >= 1");
   }
-  // The parallel RNG scheme assigns each photon a disjoint 4096-element block
-  // (par/spatial's photon_stream, and every resume skip); at a handful of
-  // draws per bounce, paths beyond ~512 bounces could bleed into the next
-  // photon's block and silently correlate streams.
+  // Every backend draws each photon from a disjoint 4096-element RNG block
+  // (core/rng.hpp photon_stream); at a handful of draws per bounce, paths
+  // beyond ~512 bounces could bleed into the next photon's block and
+  // silently correlate streams.
   if (config.limits.max_bounces > 512) {
     throw ConfigError("--max-bounces must be <= 512 (per-photon RNG blocks are 4096 draws)");
   }

@@ -18,8 +18,8 @@
 //
 // `shared` and `dist-particle` are registry aliases: they take `workers`
 // as their width, ignore `groups`, and run hybrid at the shape above — so
-// they inherit its bitwise contract (equal to the serial photon-stream
-// reference, resume bitwise at any width).
+// they inherit its bitwise contract (equal to the serial reference, resume
+// bitwise at any width).
 //
 // Backends are selected by name through make_backend(); additional backends
 // can be registered at runtime with register_backend(). Every registered
@@ -108,12 +108,6 @@ struct RunResult {
   TraceCounters counters;
   std::vector<MemoryPoint> memory;
 
-  // Exact generator state at the end of a serial run; with the forest and
-  // counters this is everything needed to resume (sim/checkpoint.hpp).
-  std::uint64_t rng_state = 0;
-  std::uint64_t rng_mul = 0;
-  std::uint64_t rng_add = 0;
-
   PoolTelemetry pool;             // hybrid
   std::vector<RankReport> ranks;  // hybrid, dist-spatial
   LoadBalance balance;            // hybrid
@@ -133,10 +127,10 @@ class Backend {
 
   virtual std::string name() const = 0;
 
-  // Whether run() honors `resume`: adopting the forest, counters and RNG
-  // state of a previous result and simulating config.photons *additional*
-  // photons. `serial` and `hybrid` (with its shapes) guarantee the
-  // continuation is bitwise identical to an uninterrupted run.
+  // Whether run() honors `resume`: adopting the forest and counters of a
+  // previous result and simulating config.photons *additional* photons from
+  // id counters.emitted on. `serial` and `hybrid` (with its shapes)
+  // guarantee the continuation is bitwise identical to an uninterrupted run.
   virtual bool supports_resume() const { return false; }
 
   virtual RunResult run(const Scene& scene, const RunConfig& config,

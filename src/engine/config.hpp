@@ -7,7 +7,9 @@
 //
 // Defaults are backend-independent: fixed 10000-photon batches everywhere.
 // The chapter-5 adaptive batching is serial-only (adapt_batch, usually with
-// a smaller `batch`).
+// a smaller `batch`). Every backend draws photon i from its own RNG block
+// (core/rng.hpp photon_stream), so photon i's path never depends on which
+// backend, worker or batch traces it.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +40,6 @@ struct RunConfig {
   // `dist-particle` fix it from `workers` (engine/backend.hpp).
   int groups = 1;
 
-  // serial: draw each photon from its own disjoint 4096-element RNG block
-  // (core/rng.hpp photon_stream) instead of one continuous stream. This is
-  // the bitwise reference the shape-invariant backends (`hybrid` and its
-  // shapes, `dist-spatial`@1) are pinned against: photon i's path no longer
-  // depends on how many draws photons 0..i-1 consumed, so any decomposition
-  // of the id space can reproduce it exactly.
-  bool photon_streams = false;
-
   // Batching. `batch` is the fixed batch size: photons per batch for serial,
   // per rank per round for dist-spatial, and the GLOBAL ids per window for
   // hybrid and its shapes (shared by all groups — shape-independent, which
@@ -64,8 +58,6 @@ struct RunConfig {
   // populated forest is bitwise identical for ANY chunk size, worker count,
   // or steal interleaving. Clamped to >= 1.
   std::uint64_t chunk = 64;
-
-  double max_seconds = 0.0;  // serial: stop after this much wall time when > 0
 
   // When non-empty, every speed-trace point — and, for serial, every
   // bin-forest memory point — streams to this file (JSONL, one point per

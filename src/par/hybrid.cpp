@@ -148,8 +148,9 @@ RunResult run_hybrid(const Scene& scene, const RunConfig& config, const RunResul
             BufferSink chunk_sink(records[c]);
             TraceCounters& mine = counters[static_cast<std::size_t>(slot)].value;
             ChannelCounts& mine_emitted = emitted[static_cast<std::size_t>(slot)].value;
+            PhotonStreams streams(config.seed, lo);
             for (std::uint64_t id = lo; id < hi; ++id) {
-              Lcg48 rng = photon_stream(config.seed, id);
+              Lcg48 rng = streams.next();
               const EmissionSample emission = emitter.emit(rng);
               ++mine_emitted[static_cast<std::size_t>(emission.channel)];
               tracer.trace(emission, rng, chunk_sink, &mine);

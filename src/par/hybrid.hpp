@@ -13,11 +13,12 @@
 //
 // Determinism contract: the populated forest is bitwise identical for
 // EVERY (groups × threads) shape, chunk size, and steal interleaving, and
-// equal to the serial photon-stream reference (RunConfig::photon_streams).
+// equal to the serial reference (run_serial).
 // Three mechanisms compose to guarantee it:
 //
-//   1. Per-photon RNG streams (core/rng.hpp photon_stream): photon i's path
-//      is a pure function of (scene, seed, i), whoever traces it.
+//   1. Per-photon RNG streams (core/rng.hpp photon_stream, stepped through
+//      each chunk by PhotonStreams): photon i's path is a pure function of
+//      (scene, seed, i), whoever traces it.
 //   2. Contiguous id slices, chunked scheduling: each batch window of ids is
 //      split contiguously across groups; each group cuts its slice into a
 //      `config.chunk`-photon chunk grid that its WorkerPool (engine/pool.hpp:

@@ -39,9 +39,8 @@ std::vector<Aabb> partition_space(const Scene& scene, int nranks);
 int region_of(const std::vector<Aabb>& regions, const Vec3& p);
 
 // The per-photon RNG stream (a disjoint block of the global LCG sequence)
-// lives in core/rng.hpp as photon_stream(): it is shared by this backend,
-// the hybrid backend, and the serial `photon_streams` reference mode — the
-// reference run_spatial must reproduce tally for tally.
+// lives in core/rng.hpp as photon_stream(): every backend draws photon i
+// from it, so at one rank run_spatial reproduces run_serial tally for tally.
 
 // Runs the distributed-geometry simulation on `config.workers` MiniMPI ranks.
 // A `resume` result (a loaded checkpoint) is folded into the partitioned

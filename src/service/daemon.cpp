@@ -4,10 +4,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -132,21 +131,39 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
   }
 
   // shutdown_flag is written by connection threads (the `shutdown` request)
-  // and read by the accept loop; joined before return, so a plain bool under
-  // the thread vector's mutex would also do — the atomic is simpler.
+  // and read by the accept loop.
   std::atomic<bool> shutdown_flag{false};
-  std::vector<std::thread> connections;
-  std::mutex connections_m;
+  // Only the accept loop touches the list; a std::list keeps each node's
+  // address stable, so a connection thread can raise its own `finished`.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::list<Connection> connections;
+  // Joins the threads of closed connections, so a long-lived daemon holds
+  // one thread (and one stack) per OPEN connection, not per connection ever
+  // served.
+  const auto reap = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->finished.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
+  };
 
   while (!should_stop() && !shutdown_flag.load(std::memory_order_acquire)) {
+    reap();
     pollfd pfd{listener, POLLIN, 0};
     const int ready = poll(&pfd, 1, 200);  // stop-flag poll cadence
     if (ready <= 0) continue;
     const int client = accept(listener, nullptr, nullptr);
     if (client < 0) continue;
 
-    std::lock_guard<std::mutex> lock(connections_m);
-    connections.emplace_back([&service, &shutdown_flag, client] {
+    Connection& connection = connections.emplace_back();
+    connection.thread = std::thread([&service, &shutdown_flag, &connection, client] {
       std::string line;
       while (read_line(client, line, shutdown_flag)) {
         if (line.empty()) continue;
@@ -159,6 +176,7 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
         }
       }
       close(client);
+      connection.finished.store(true, std::memory_order_release);
     });
   }
 
@@ -170,11 +188,7 @@ bool run_daemon(PhotonService& service, const std::string& socket_path,
   // returns once its job reaches a terminal state, which shutdown() forces
   // by preempting every active job.
   service.shutdown();
-  {
-    std::lock_guard<std::mutex> lock(connections_m);
-    for (std::thread& t : connections) t.join();
-    connections.clear();
-  }
+  for (Connection& connection : connections) connection.thread.join();
   unlink(socket_path.c_str());
   return true;
 }

@@ -1,7 +1,8 @@
 // The AF_UNIX front door of the photon service: accepts local connections on
 // a socket path and speaks the line protocol (service/protocol.hpp). One
 // thread per connection — `wait` blocks its own client, never the accept
-// loop or another client's `status`.
+// loop or another client's `status` — joined by the accept loop once its
+// connection closes.
 #pragma once
 
 #include <functional>

@@ -123,30 +123,6 @@ JobSpec job_spec_from_request(const Request& request) {
   return spec;
 }
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char ch : raw) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 std::string job_info_json(const JobInfo& info) {
   // A stream, not a fixed snprintf buffer: error strings (paths, diagnostics)
   // have no length bound and a truncated response would be invalid JSON.

@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 
+#include "core/json.hpp"
 #include "service/service.hpp"
 
 namespace photon {
@@ -49,8 +50,5 @@ JobSpec job_spec_from_request(const Request& request);
 //    "wall_s": 0.12, "photons_per_sec": 83000.0, "progress_ticks": 5,
 //    "estimated_bytes": 123456, "error": ""}
 std::string job_info_json(const JobInfo& info);
-
-// JSON string escaping shared by every response builder.
-std::string json_escape(const std::string& raw);
 
 }  // namespace photon

@@ -12,12 +12,13 @@
 namespace photon {
 
 namespace {
-// Version 3 ("PHOTNCK3"): the payload is length-prefixed and FNV-1a-64
-// checksummed: [serial RNG state][counters][forest]. Older files are
-// rejected — v1 ("PHOTONCK": no length, no checksum) cannot be verified, and
-// v2 ("PHOTNCK2") carried a per-rank leapfrog RNG section that no backend
-// resumes from any more.
-constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B33ULL;    // "PHOTNCK3"
+// Version 4 ("PHOTNCK4"): the payload is length-prefixed and FNV-1a-64
+// checksummed: [counters][forest]. Older files are rejected — v1
+// ("PHOTONCK": no length, no checksum) cannot be verified, v2 ("PHOTNCK2")
+// carried a per-rank leapfrog RNG section, and v3 ("PHOTNCK3") serial's
+// continuous-stream RNG words; no RNG scheme resumes from either any more.
+constexpr std::uint64_t kCheckpointMagic = 0x50484F544E434B34ULL;    // "PHOTNCK4"
+constexpr std::uint64_t kCheckpointMagicV3 = 0x50484F544E434B33ULL;  // "PHOTNCK3"
 constexpr std::uint64_t kCheckpointMagicV2 = 0x50484F544E434B32ULL;  // "PHOTNCK2"
 constexpr std::uint64_t kCheckpointMagicV1 = 0x50484F544F4E434BULL;  // "PHOTONCK"
 
@@ -49,9 +50,6 @@ void save_checkpoint(const RunResult& result, std::ostream& out) {
   // checkpoint is written once per leg, so the extra copy is irrelevant next
   // to the simulation it protects.
   std::ostringstream payload(std::ios::binary);
-  write_u64(payload, result.rng_state);
-  write_u64(payload, result.rng_mul);
-  write_u64(payload, result.rng_add);
   write_u64(payload, result.counters.emitted);
   write_u64(payload, result.counters.bounces);
   write_u64(payload, result.counters.absorbed);
@@ -111,7 +109,8 @@ const char* checkpoint_status_name(CheckpointStatus status) {
 CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result) {
   std::uint64_t magic = 0, length = 0;
   if (!read_u64(in, magic) || magic != kCheckpointMagic) {
-    return magic == kCheckpointMagicV1 || magic == kCheckpointMagicV2
+    return magic == kCheckpointMagicV1 || magic == kCheckpointMagicV2 ||
+                   magic == kCheckpointMagicV3
                ? CheckpointStatus::kOldVersion
                : CheckpointStatus::kBadMagic;
   }
@@ -147,8 +146,7 @@ CheckpointStatus load_checkpoint_status(std::istream& in, RunResult& result) {
     MemBuf(char* data, std::size_t n) { setg(data, data, data + n); }
   } membuf(bytes.data(), bytes.size());
   std::istream payload(&membuf);
-  if (!read_u64(payload, result.rng_state) || !read_u64(payload, result.rng_mul) ||
-      !read_u64(payload, result.rng_add) || !read_u64(payload, result.counters.emitted) ||
+  if (!read_u64(payload, result.counters.emitted) ||
       !read_u64(payload, result.counters.bounces) ||
       !read_u64(payload, result.counters.absorbed) ||
       !read_u64(payload, result.counters.escaped) ||

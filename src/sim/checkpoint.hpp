@@ -2,13 +2,15 @@
 // any backend's RunResult.
 //
 // The paper's production runs simulated billions of photons over hours; a
-// checkpoint captures the bin forest (already the "answer file"), the trace
-// counters and serial's raw RNG state. Resuming through a backend that
-// reports supports_resume() adopts all of it; the `serial` and `hybrid`
-// (with its `shared` and `dist-particle` shapes) continuations are bitwise
-// identical to an uninterrupted run (verified by the test suite).
+// checkpoint captures the bin forest (already the "answer file") and the
+// trace counters. No generator state is needed: photon ids index per-photon
+// RNG blocks, so counters.emitted is the whole continuation state. Resuming
+// through a backend that reports supports_resume() adopts both; the
+// `serial` and `hybrid` (with its `shared` and `dist-particle` shapes)
+// continuations are bitwise identical to an uninterrupted run of any of
+// them (verified by the test suite).
 //
-// The v3 byte format is [magic][u64 payload length][payload][u64 FNV-1a-64
+// The v4 byte format is [magic][u64 payload length][payload][u64 FNV-1a-64
 // of the payload]: a truncated or bit-flipped checkpoint fails the length or
 // checksum test and load_checkpoint returns false — a multi-hour run must
 // never silently resume from damaged state.
@@ -27,11 +29,11 @@ enum class CheckpointStatus {
   kOk,
   kOpenFailed,         // path could not be opened
   kBadMagic,           // not a checkpoint at all
-  kOldVersion,         // v1 or v2 magic: superseded format, rejected by design
+  kOldVersion,         // v1, v2 or v3 magic: superseded format, rejected by design
   kBadLength,          // length field exceeds the payload cap
   kTruncated,          // stream ended before the declared payload length
   kChecksumMismatch,   // payload bytes fail the FNV-1a-64 check
-  kBadHeader,          // verified payload too short for the RNG state/counters
+  kBadHeader,          // verified payload too short for the counters
   kBadForest,          // forest section malformed or empty
 };
 

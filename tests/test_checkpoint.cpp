@@ -34,7 +34,6 @@ TEST(Checkpoint, ResumeIsBitwiseIdenticalToStraightRun) {
   EXPECT_TRUE(resumed.forest == straight.forest);
   EXPECT_EQ(resumed.counters.emitted, straight.counters.emitted);
   EXPECT_EQ(resumed.counters.bounces, straight.counters.bounces);
-  EXPECT_EQ(resumed.rng_state, straight.rng_state);
 }
 
 TEST(Checkpoint, ManySmallLegsEqualOneBigRun) {
@@ -62,8 +61,6 @@ TEST(Checkpoint, StreamRoundTrip) {
   RunResult loaded;
   ASSERT_TRUE(load_checkpoint(buf, loaded));
   EXPECT_TRUE(loaded.forest == r.forest);
-  EXPECT_EQ(loaded.rng_state, r.rng_state);
-  EXPECT_EQ(loaded.rng_mul, r.rng_mul);
   EXPECT_EQ(loaded.counters.bounces, r.counters.bounces);
 }
 
@@ -219,6 +216,12 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   put_u64(v2, 0, 0x50484F544E434B32ULL);
   EXPECT_EQ(status_of(v2), CheckpointStatus::kOldVersion);
 
+  // v3 magic ("PHOTNCK3"): its payload led with serial's continuous-stream
+  // RNG words, which no backend draws from any more.
+  std::string v3 = valid;
+  put_u64(v3, 0, 0x50484F544E434B33ULL);
+  EXPECT_EQ(status_of(v3), CheckpointStatus::kOldVersion);
+
   std::string bad_length = valid;
   put_u64(bad_length, 8, (1ULL << 33) + 1);  // over the 8 GiB payload cap
   EXPECT_EQ(status_of(bad_length), CheckpointStatus::kBadLength);
@@ -230,17 +233,17 @@ TEST(CheckpointStatusTest, ReportsEachDistinctFailure) {
   flipped[100] = static_cast<char>(flipped[100] ^ 1);
   EXPECT_EQ(status_of(flipped), CheckpointStatus::kChecksumMismatch);
 
-  // v3 payload: 3 RNG words + 5 counters (64 bytes), then the forest. A
-  // sealed payload cut off mid-counters fails the header parse...
-  std::string short_header = valid.substr(0, 16 + 40 + 8);
-  put_u64(short_header, 8, 40);
+  // v4 payload: 5 counters (40 bytes), then the forest. A sealed payload
+  // cut off mid-counters fails the header parse...
+  std::string short_header = valid.substr(0, 16 + 16 + 8);
+  put_u64(short_header, 8, 16);
   reseal(short_header);
   EXPECT_EQ(status_of(short_header), CheckpointStatus::kBadHeader);
 
   // ...and one cut off right after the counters parses the header but has
   // no forest section.
-  std::string no_forest = valid.substr(0, 16 + 64 + 8);
-  put_u64(no_forest, 8, 64);
+  std::string no_forest = valid.substr(0, 16 + 40 + 8);
+  put_u64(no_forest, 8, 40);
   reseal(no_forest);
   EXPECT_EQ(status_of(no_forest), CheckpointStatus::kBadForest);
 

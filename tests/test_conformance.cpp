@@ -6,14 +6,10 @@
 // The matrix is data-driven from contract_for(name): registering a new
 // backend automatically enrolls it in the determinism + conservation +
 // resume legs at default shapes; pinning it bitwise only requires adding its
-// contract here. Two reference kinds exist, matching the two RNG schemes:
-//
-//   kSerial        run_serial's continuous stream — serial itself
-//   kPhotonStreams serial with RunConfig::photon_streams — per-photon
-//                  disjoint RNG blocks, the reference for the backends whose
-//                  answer is independent of their decomposition
-//                  (dist-spatial@1; hybrid, and its `shared` and
-//                  `dist-particle` shapes, at EVERY shape)
+// contract here. There is one reference, run_serial: every backend draws
+// photon i from its own RNG block, so a backend whose answer is independent
+// of its decomposition equals it bit for bit (dist-spatial@1; hybrid, and
+// its `shared` and `dist-particle` shapes, at EVERY shape).
 //
 // The suite is additionally parameterized over the acceleration structure
 // behind the AccelStructure seam: every backend runs the matrix on
@@ -48,16 +44,10 @@ struct Shape {
   int workers = 1;
 };
 
-enum class Reference {
-  kNone,           // no bitwise pin at this shape (determinism/conservation only)
-  kSerial,         // bitwise == run_serial, continuous stream
-  kPhotonStreams,  // bitwise == run_serial with photon_streams
-};
-
 struct BackendContract {
-  std::vector<Shape> shapes;                 // every shape the matrix runs
-  Reference reference = Reference::kNone;    // pin kind...
-  bool reference_at_every_shape = false;     // ...at all shapes, or only 1x1
+  std::vector<Shape> shapes;              // every shape the matrix runs
+  bool pinned = false;                    // bitwise == run_serial...
+  bool reference_at_every_shape = false;  // ...at all shapes, or only 1x1
   bool resume_bitwise = false;  // leg1+leg2 == straight run, bit for bit
   // Repeated runs reproduce the forest bit for bit at every shape.
   bool repeat_bitwise_at_every_shape = true;
@@ -65,37 +55,32 @@ struct BackendContract {
 
 BackendContract contract_for(const std::string& name) {
   if (name == "serial") {
-    return {{{1, 1}}, Reference::kSerial, true, true, true};
+    return {{{1, 1}}, true, true, true, true};
   }
   if (name == "shared") {
     // Hybrid at one group, pool-backed chunk scheduling (engine/pool.hpp):
-    // bitwise equal to the serial photon-stream reference at EVERY worker
-    // count — including the oversubscribed 1x8 — with bitwise resume and
+    // bitwise equal to the serial reference at EVERY worker count —
+    // including the oversubscribed 1x8 — with bitwise resume and
     // repeatability.
-    return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, Reference::kPhotonStreams, true, true, true};
+    return {{{1, 1}, {1, 2}, {1, 4}, {1, 8}}, true, true, true, true};
   }
   if (name == "dist-particle") {
     // Hybrid at `workers` one-thread groups (the alias ignores `groups`):
-    // bitwise equal to the serial photon-stream reference at every rank
-    // count, with bitwise resume. Its leapfrog predecessor was pinned to
-    // the continuous-stream reference at 1x1 only.
-    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kPhotonStreams, true, true, true};
+    // bitwise equal to the serial reference at every rank count, with
+    // bitwise resume.
+    return {{{1, 1}, {1, 2}, {1, 4}}, true, true, true, true};
   }
   if (name == "dist-spatial") {
-    return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kPhotonStreams, false, false, true};
+    return {{{1, 1}, {1, 2}, {1, 4}}, true, false, false, true};
   }
   if (name == "hybrid") {
     // The tentpole contract: bitwise-equal to the serial reference at every
     // shape, pinned on all bundled scenes below.
-    return {{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}},
-            Reference::kPhotonStreams,
-            true,
-            true,
-            true};
+    return {{{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 2}}, true, true, true, true};
   }
   // A backend this table has never heard of still gets the full determinism,
   // conservation and resume-conservation matrix for free.
-  return {{{1, 1}, {1, 2}, {1, 4}}, Reference::kNone, false, false, true};
+  return {{{1, 1}, {1, 2}, {1, 4}}, false, false, false, true};
 }
 
 struct NamedScene {
@@ -148,15 +133,13 @@ RunResult run_named(const std::string& backend, const Scene& scene, const RunCon
   return b->run(scene, cfg, resume);
 }
 
-// The serial reference for one (kind, scene, budget) cell, computed once.
-const RunResult& reference_run(Reference kind, const NamedScene& cell) {
-  static std::map<std::pair<int, std::string>, RunResult> cache;
-  const std::pair<int, std::string> key{static_cast<int>(kind), cell.name};
-  const auto it = cache.find(key);
+// The serial reference for one (scene, budget) cell, computed once.
+const RunResult& reference_run(const NamedScene& cell) {
+  static std::map<std::string, RunResult> cache;
+  const auto it = cache.find(cell.name);
   if (it != cache.end()) return it->second;
-  RunConfig cfg = config_for({1, 1}, cell.photons);
-  cfg.photon_streams = kind == Reference::kPhotonStreams;
-  return cache.emplace(key, run_serial(*cell.scene, cfg)).first->second;
+  return cache.emplace(cell.name, run_serial(*cell.scene, config_for({1, 1}, cell.photons)))
+      .first->second;
 }
 
 // (backend, acceleration structure) cell. Every backend runs with the
@@ -204,14 +187,14 @@ TEST_P(ConformanceTest, ConservesEmissionsAndRecords) {
 TEST_P(ConformanceTest, BitwiseEqualToTheSerialReference) {
   const auto& [backend, accel] = GetParam();
   const BackendContract contract = contract_for(backend);
-  if (contract.reference == Reference::kNone) {
+  if (!contract.pinned) {
     GTEST_SKIP() << backend << " contracts no bitwise reference shape";
   }
   for (const NamedScene& cell : bundled_scenes()) {
     // The reference is always the octree-built serial run: a non-octree cell
     // passing this pin means the structure's closest hits are bitwise-equal
     // through the whole simulation.
-    const RunResult& reference = reference_run(contract.reference, cell);
+    const RunResult& reference = reference_run(cell);
     const Scene& scene = scene_for(cell, accel);
     for (const Shape& shape : contract.shapes) {
       if (!contract.reference_at_every_shape && (shape.groups != 1 || shape.workers != 1)) {
@@ -256,10 +239,9 @@ TEST_P(ConformanceTest, ResumeContinuesAcrossALegBoundary) {
   }
 }
 
-// Every backend × octree, plus a cross-structure band: one backend per RNG
-// scheme (serial = continuous stream, shared = pool-scheduled photon
-// streams, dist-spatial = per-region local indexes rebuilt from
-// RunConfig::accel) × {bvh, grid}.
+// Every backend × octree, plus a cross-structure band: one backend per
+// decomposition (serial, shared = pool-scheduled chunks, dist-spatial =
+// per-region local indexes rebuilt from RunConfig::accel) × {bvh, grid}.
 std::vector<ConformanceParam> conformance_cells() {
   std::vector<ConformanceParam> cells;
   for (const std::string& backend : backend_names()) {
@@ -281,10 +263,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ConformanceTest,
                          });
 
 // --- Elastic resume across a CHANGED shape: checkpoint at width P0, resume
-// at width P1 through the v3 byte-format round-trip. Conservation holds for
-// every (P0, P1) cell; bitwise equality where the RNG scheme is
-// shape-invariant — hybrid and dist-particle (per-photon streams)
-// everywhere.
+// at width P1 through the v4 byte-format round-trip. Conservation holds for
+// every (P0, P1) cell; bitwise equality where the decomposition is
+// shape-invariant — hybrid and dist-particle everywhere.
 class ElasticResumeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
@@ -307,7 +288,7 @@ TEST_P(ElasticResumeTest, CheckpointAtOneWidthResumesAtAnother) {
         leg2.batch = 100;
         const RunResult first = run_named(backend, *cell.scene, leg1);
 
-        // Through the v3 byte format, not just the in-memory object: this is
+        // Through the v4 byte format, not just the in-memory object: this is
         // the rank/group-count elasticity photon_cli's --resume exercises.
         std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
         save_checkpoint(first, buf);
@@ -351,7 +332,7 @@ TEST(ConformanceOversubscribed, HybridBeyondHardwareThreadsStaysBitwise) {
   const NamedScene& cell = bundled_scenes()[0];
   const RunConfig cfg = config_for(shape, cell.photons);
   const RunResult r = run_named("hybrid", *cell.scene, cfg);
-  const RunResult& reference = reference_run(Reference::kPhotonStreams, cell);
+  const RunResult& reference = reference_run(cell);
   EXPECT_TRUE(r.forest == reference.forest)
       << "oversubscribed shape " << shape.groups << "x" << shape.workers;
 }

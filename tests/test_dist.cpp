@@ -18,13 +18,6 @@ RunResult dist_run(const Scene& scene, const RunConfig& config,
   return make_backend("dist-particle")->run(scene, config, resume);
 }
 
-// The serial photon-stream reference every shape of hybrid equals.
-RunResult stream_reference(const Scene& scene, const RunConfig& config) {
-  RunConfig rc = config;
-  rc.photon_streams = true;
-  return run_serial(scene, rc);
-}
-
 class DistSimTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistSimTest, TracesTheGlobalBudget) {
@@ -46,7 +39,7 @@ TEST_P(DistSimTest, TracesTheGlobalBudget) {
 TEST_P(DistSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   // The defining correctness property: distributing the bin forest must not
   // change the answer — at every rank count the gathered forest is the
-  // serial photon-stream reference, bit for bit.
+  // serial reference, bit for bit.
   const int P = GetParam();
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
@@ -54,7 +47,7 @@ TEST_P(DistSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   cfg.batch = 500;
   cfg.workers = P;
   const RunResult dist = dist_run(s, cfg);
-  const RunResult ref = stream_reference(s, cfg);
+  const RunResult ref = run_serial(s, cfg);
   EXPECT_TRUE(dist.forest == ref.forest) << "P=" << P;
   EXPECT_EQ(dist.counters.bounces, ref.counters.bounces);
 }
@@ -195,8 +188,8 @@ INSTANTIATE_TEST_SUITE_P(RanksAndBatches, DistDeterminismTest,
 class DistSerialEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DistSerialEquivalenceTest, OneRankIsBitwisePhotonStreamSerialAtAnyBatch) {
-  // dist@1 stays bitwise identical to the serial photon-stream reference at
-  // every exchange window.
+  // dist@1 stays bitwise identical to the serial reference at every
+  // exchange window.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 1500;
@@ -204,7 +197,7 @@ TEST_P(DistSerialEquivalenceTest, OneRankIsBitwisePhotonStreamSerialAtAnyBatch) 
   cfg.batch = GetParam();
   cfg.workers = 1;
   const RunResult dist = dist_run(s, cfg);
-  EXPECT_TRUE(dist.forest == stream_reference(s, cfg).forest) << "batch=" << cfg.batch;
+  EXPECT_TRUE(dist.forest == run_serial(s, cfg).forest) << "batch=" << cfg.batch;
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, DistSerialEquivalenceTest,
@@ -286,7 +279,7 @@ TEST(DistSim, ResumeConservesAndReproduces) {
 }
 
 TEST(DistSim, SingleRankPutsNothingOnTheWire) {
-  // (dist@1 == the serial photon-stream reference is pinned, per scene, by
+  // (dist@1 == the serial reference is pinned, per scene, by
   // the conformance suite; this keeps the traffic claim.)
   const Scene s = scenes::cornell_box();
   RunConfig cfg;

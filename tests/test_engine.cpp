@@ -48,44 +48,58 @@ TEST(BackendRegistry, RuntimeRegistrationAndCollision) {
 // tests/test_conformance.cpp — which runs every registered backend through
 // the same matrix on all bundled scenes.
 
-TEST(CrossBackend, SharedMatchesSerialPhotonStreamReference) {
-  // The pool-backed shared backend traces photon i from RNG stream i, so at
-  // any worker count its forest — per-channel emission totals included — is
-  // bitwise identical to the serial photon-stream reference (a strictly
-  // stronger contract than the old leapfrog-union totals).
+TEST(CrossBackend, SharedMatchesSerial) {
+  // Every backend traces photon i from RNG stream i, so the pool-backed
+  // shared backend's forest — per-channel emission totals included — is
+  // bitwise identical to serial's at any worker count.
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
   cfg.photons = 4000;
   cfg.workers = 4;
   const RunResult shared = make_backend("shared")->run(s, cfg);
-
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = make_backend("serial")->run(s, rc);
+  const RunResult ref = make_backend("serial")->run(s, cfg);
   EXPECT_TRUE(ref.forest == shared.forest);
   for (int c = 0; c < kNumChannels; ++c) {
     EXPECT_EQ(shared.forest.emitted(c), ref.forest.emitted(c)) << "channel " << c;
   }
 }
 
-TEST(CrossBackend, SerialResumeFromSharedCheckpointGetsFreshStream) {
-  // A shared-backend result carries no single RNG state (rng_mul == 0).
-  // Resuming it through `serial` must not adopt the raw zeros — that would
-  // degenerate the LCG to a constant stream where every photon reflects
-  // until the bounce guard trips.
+// One leg on `first`, a second on `second`, against one straight serial run:
+// a checkpoint carries no generator state, so any backend continues any
+// other's run from counters.emitted, bit for bit.
+void expect_mixed_legs_equal_straight_serial(const char* first, const RunConfig& first_cfg,
+                                             const char* second, const RunConfig& second_cfg) {
   const Scene s = scenes::cornell_box();
+  const RunResult leg1 = make_backend(first)->run(s, first_cfg);
+  const RunResult resumed = make_backend(second)->run(s, second_cfg, &leg1);
+
+  RunConfig straight = second_cfg;
+  straight.photons = first_cfg.photons + second_cfg.photons;
+  const RunResult serial = make_backend("serial")->run(s, straight);
+  EXPECT_TRUE(resumed.forest == serial.forest) << first << " then " << second;
+  EXPECT_EQ(resumed.counters.emitted, serial.counters.emitted);
+  EXPECT_EQ(resumed.counters.bounces, serial.counters.bounces);
+}
+
+TEST(CrossBackend, SerialContinuesASharedCheckpointBitwise) {
   RunConfig cfg;
   cfg.photons = 2000;
+  cfg.batch = 500;
   cfg.workers = 2;
-  const RunResult first = make_backend("shared")->run(s, cfg);
-  ASSERT_EQ(first.rng_mul, 0u);
+  RunConfig leg2 = cfg;
+  leg2.photons = 1000;
+  expect_mixed_legs_equal_straight_serial("shared", cfg, "serial", leg2);
+}
 
-  const RunResult resumed = make_backend("serial")->run(s, cfg, &first);
-  EXPECT_EQ(resumed.counters.emitted, 2 * cfg.photons);
-  EXPECT_EQ(resumed.forest.emitted_total(), 2 * cfg.photons);
-  // The degenerate stream drives every photon into the bounce limit.
-  EXPECT_EQ(resumed.counters.terminated, first.counters.terminated);
-  EXPECT_NE(resumed.rng_mul, 0u);
+TEST(CrossBackend, HybridContinuesASerialCheckpointBitwise) {
+  RunConfig cfg;
+  cfg.photons = 2000;
+  cfg.batch = 500;
+  RunConfig leg2 = cfg;
+  leg2.photons = 1000;
+  leg2.groups = 2;
+  leg2.workers = 2;
+  expect_mixed_legs_equal_straight_serial("serial", cfg, "hybrid", leg2);
 }
 
 TEST(CrossBackend, SharedResumeDoesNotReplayTheFirstLeg) {

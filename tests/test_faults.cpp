@@ -47,7 +47,7 @@ RunConfig fault_config(std::uint64_t photons) {
   return cfg;
 }
 
-// The photon-stream serial reference — what hybrid equals at EVERY shape, so
+// The serial reference — what hybrid equals at EVERY shape, so
 // also what a recovered hybrid run must equal at the survivor shape.
 const RunResult& stream_reference(const FaultScene& cell) {
   static std::map<std::string, RunResult> cache;
@@ -56,7 +56,6 @@ const RunResult& stream_reference(const FaultScene& cell) {
   RunConfig cfg;
   cfg.photons = cell.photons;
   cfg.batch = kWindow;
-  cfg.photon_streams = true;
   return cache.emplace(cell.name, run_serial(*cell.scene, cfg)).first->second;
 }
 
@@ -103,7 +102,7 @@ TEST(ElasticRunner, LegsAloneStayBitwise) {
 
 TEST(ElasticRunner, HybridRankDeathRecoversBitwiseOnAllScenes) {
   // The tentpole acceptance: kill a rank mid-run on every bundled scene; the
-  // recovered run must equal the undisturbed photon-stream answer bit for
+  // recovered run must equal the undisturbed serial answer bit for
   // bit at the survivor shape.
   for (const FaultScene& cell : fault_scenes()) {
     auto plan = std::make_shared<FaultPlan>();

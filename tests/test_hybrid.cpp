@@ -1,7 +1,6 @@
 // Hybrid-backend contracts beyond what the conformance suite covers for
 // every backend: the shape-invariance guarantee itself (the tentpole — any
-// groups × threads shape is bitwise-equal to the serial photon-stream
-// reference), resume as a bitwise continuation, and the report surface.
+// groups × threads shape is bitwise-equal to the serial reference), resume as a bitwise continuation, and the report surface.
 #include "par/hybrid.hpp"
 
 #include <gtest/gtest.h>
@@ -23,12 +22,6 @@ RunConfig hybrid_config(int groups, int workers) {
   return cfg;
 }
 
-RunResult reference_run(const Scene& s, const RunConfig& cfg) {
-  RunConfig ref = cfg;
-  ref.photon_streams = true;
-  return run_serial(s, ref);
-}
-
 class HybridShapeTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(HybridShapeTest, AnyShapeIsBitwiseTheSerialReference) {
@@ -36,7 +29,7 @@ TEST_P(HybridShapeTest, AnyShapeIsBitwiseTheSerialReference) {
   const Scene s = scenes::cornell_box();
   const RunConfig cfg = hybrid_config(G, T);
   const RunResult hybrid = run_hybrid(s, cfg);
-  const RunResult reference = reference_run(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
 
   EXPECT_TRUE(hybrid.forest == reference.forest) << "shape " << G << "x" << T;
   EXPECT_EQ(hybrid.counters.emitted, reference.counters.emitted);
@@ -117,20 +110,6 @@ TEST(HybridSim, MessagesFlowBetweenGroups) {
   EXPECT_EQ(r.ranks.size(), 4u);
   EXPECT_GT(r.ranks[0].rounds, 0u);
   ASSERT_EQ(r.balance.owner.size(), s.patch_count());
-}
-
-TEST(HybridSim, SerialPhotonStreamResumeIsBitwise) {
-  const Scene s = scenes::cornell_box();
-  RunConfig half;
-  half.photons = 1000;
-  half.photon_streams = true;
-  const RunResult first = run_serial(s, half);
-  const RunResult resumed = run_serial(s, half, &first);
-
-  RunConfig full = half;
-  full.photons = 2000;
-  const RunResult straight = run_serial(s, full);
-  EXPECT_TRUE(resumed.forest == straight.forest);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace photon {
@@ -106,55 +105,16 @@ TEST(Lcg48, StrideConstantsComposeLikeSteps) {
   EXPECT_EQ(direct, x);
 }
 
-// --- leapfrog properties, parameterized over the processor count ---
-
-class LeapfrogTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LeapfrogTest, StreamsInterleaveTheGlobalSequence) {
-  const int P = GetParam();
-  const std::uint64_t seed = 0xABCDEF;
-  // Global serial sequence.
-  Lcg48 global(seed);
-  std::vector<std::uint64_t> serial;
-  const int per_rank = 50;
-  for (int i = 0; i < per_rank * P; ++i) serial.push_back(global.next_bits());
-
-  // Rank r's k-th draw must equal global element k*P + r.
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(seed, r, P);
-    for (int k = 0; k < per_rank; ++k) {
-      EXPECT_EQ(rank.next_bits(), serial[static_cast<std::size_t>(k * P + r)])
-          << "rank " << r << " draw " << k;
+TEST(PhotonStreams, StepsMatchRandomAccess) {
+  // The one-multiply-add stepping serial and hybrid's chunks use must give
+  // exactly photon_stream(seed, i), from any starting id.
+  for (const std::uint64_t first : {0ull, 1ull, 999'983ull}) {
+    PhotonStreams streams(0xABCDEF, first);
+    for (std::uint64_t i = first; i < first + 64; ++i) {
+      EXPECT_EQ(streams.next().state(), photon_stream(0xABCDEF, i).state()) << "photon " << i;
     }
   }
 }
-
-TEST_P(LeapfrogTest, StreamsAreDisjoint) {
-  const int P = GetParam();
-  std::set<std::uint64_t> seen;
-  std::size_t total = 0;
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(0x1234, r, P);
-    for (int k = 0; k < 200; ++k) {
-      seen.insert(rank.next_bits());
-      ++total;
-    }
-  }
-  EXPECT_EQ(seen.size(), total) << "leapfrog streams overlapped";
-}
-
-TEST_P(LeapfrogTest, EachStreamLooksUniform) {
-  const int P = GetParam();
-  for (int r = 0; r < P; ++r) {
-    Lcg48 rank(2024, r, P);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) sum += rank.uniform();
-    EXPECT_NEAR(sum / n, 0.5, 0.02) << "rank " << r;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ProcessorCounts, LeapfrogTest, ::testing::Values(2, 3, 4, 8, 16, 64));
 
 }  // namespace
 }  // namespace photon

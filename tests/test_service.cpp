@@ -11,6 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -136,9 +139,9 @@ TEST(Service, DistinctAccelKindsAreDistinctResidents) {
 TEST(Service, FourConcurrentJobsAreBitwiseEqualToSoloRuns) {
   // Four jobs with distinct seeds and mixed backends run CONCURRENTLY
   // (max_active=4) on one resident scene; each result, saved through the
-  // job's atomic checkpoint, must equal the same config run solo — forest,
-  // counters, and RNG state bit for bit. Scheduling may interleave their
-  // windows arbitrarily; the record order inside each job must not notice.
+  // job's atomic checkpoint, must equal the same config run solo — forest
+  // and counters bit for bit. Scheduling may interleave their windows
+  // arbitrarily; the record order inside each job must not notice.
   const std::string dir = ::testing::TempDir();
   const std::vector<std::string> backends = {"serial", "shared", "serial", "shared"};
 
@@ -173,7 +176,6 @@ TEST(Service, FourConcurrentJobsAreBitwiseEqualToSoloRuns) {
                                                     << "): forest diverged from the solo run";
     EXPECT_EQ(from_service.counters.emitted, solo.counters.emitted) << "job " << i;
     EXPECT_EQ(from_service.counters.bounces, solo.counters.bounces) << "job " << i;
-    EXPECT_EQ(from_service.rng_state, solo.rng_state) << "job " << i;
     std::remove(paths[static_cast<std::size_t>(i)].c_str());
   }
 }
@@ -208,7 +210,7 @@ TEST(Service, ManyClientThreadsSubmittingOverlappingRunsStayDeterministic) {
 
         RunResult result;
         if (load_checkpoint_status(spec.checkpoint_path, result) != CheckpointStatus::kOk ||
-            !(result.forest == solo.forest) || result.rng_state != solo.rng_state) {
+            !(result.forest == solo.forest)) {
           ok = false;
         }
         std::remove(spec.checkpoint_path.c_str());
@@ -422,6 +424,7 @@ TEST(Protocol, JobJsonCarriesTheReportShape) {
   EXPECT_NE(json.find("\"photons_requested\": 1000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"error\": \"say \\\"hi\\\"\\n\""), std::string::npos) << json;
   EXPECT_EQ(json_escape("tab\there"), "tab\\there");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
 }
 
 // ---- Daemon round-trip over the real socket --------------------------------
@@ -478,6 +481,64 @@ TEST(Daemon, ServesSubmitWaitStatusCancelOverTheSocket) {
 
   ASSERT_TRUE(client->request("shutdown", reply));
   EXPECT_EQ(reply, "{\"ok\": true}");
+  daemon.join();
+}
+
+// Threads and virtual size of this process, from /proc/self.
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+std::uint64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return 0;
+}
+
+TEST(Daemon, ClosedConnectionsAreReaped) {
+  // Each connection runs on its own thread. A finished thread leaves
+  // /proc/self/task at once, but until it is joined its stack (8 MB of
+  // address space by default) stays mapped: a daemon that joined only at
+  // shutdown grew by ~1.6 GB of VmSize over these 200 pings.
+  const std::string socket_path = ::testing::TempDir() + "/photon_svc_reap.sock";
+  std::remove(socket_path.c_str());
+  PhotonService service(ServiceConfig{}, test_loader());
+  std::atomic<bool> stop{false};
+  std::thread daemon([&] { run_daemon(service, socket_path, [&] { return stop.load(); }); });
+
+  std::string reply;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (;;) {
+    ServiceClient probe(socket_path);
+    if (probe.ok() && probe.request("ping", reply)) break;
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // let the probe's thread go
+  const std::ptrdiff_t threads_before = thread_count();
+  const std::uint64_t vm_before = vm_size_kb();
+
+  for (int i = 0; i < 200; ++i) {
+    ServiceClient client(socket_path);
+    ASSERT_TRUE(client.ok()) << client.error();
+    ASSERT_TRUE(client.request("ping", reply));
+    EXPECT_EQ(reply, "{\"ok\": true}");
+  }
+  // The accept loop joins finished connections on its next tick.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LE(thread_count(), threads_before + 2);
+  EXPECT_LT(vm_size_kb(), vm_before + 256 * 1024) << "VmSize grew from " << vm_before << " kB";
+
+  stop = true;
   daemon.join();
 }
 

@@ -73,8 +73,7 @@ TEST_P(SharedSimTest, TalliesConserveRecords) {
 
 TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   // The pool-backed backend's determinism contract: at EVERY worker count
-  // the populated forest is bitwise identical to the serial photon-stream
-  // reference — a strictly stronger pin than the old leapfrog-union totals.
+  // the populated forest is bitwise identical to the serial reference.
   const int T = GetParam();
   const Scene s = scenes::cornell_box();
   RunConfig cfg;
@@ -83,9 +82,7 @@ TEST_P(SharedSimTest, BitwiseMatchesSerialPhotonStreamReference) {
   cfg.chunk = 37;  // odd grain: chunk size must not matter either
   const RunResult shared = shared_run(s, cfg);
 
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
+  const RunResult ref = run_serial(s, cfg);
 
   EXPECT_TRUE(ref.forest == shared.forest) << "workers=" << T;
   EXPECT_EQ(ref.counters.bounces, shared.counters.bounces);
@@ -104,9 +101,7 @@ TEST(SharedSim, BitwiseUnderAdversarialStealSchedules) {
   cfg.workers = 4;
   cfg.chunk = 16;
 
-  RunConfig rc = cfg;
-  rc.photon_streams = true;
-  const RunResult ref = run_serial(s, rc);
+  const RunResult ref = run_serial(s, cfg);
 
   {
     WorkerPool::ScheduleGuard guard(WorkerPool::TestSchedule::kForceSteal);

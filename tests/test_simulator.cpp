@@ -152,17 +152,6 @@ TEST(Simulator, SpeedTraceIsMonotone) {
   EXPECT_GT(r.trace.final_rate(), 0.0);
 }
 
-TEST(Simulator, MaxSecondsStopsEarly) {
-  const Scene s = scenes::computer_lab();
-  RunConfig cfg;
-  cfg.photons = 50'000'000;  // far more than fits in the budget
-  cfg.batch = 2000;
-  cfg.max_seconds = 0.2;
-  const RunResult r = run_serial(s, cfg);
-  EXPECT_LT(r.trace.total_photons, cfg.photons);
-  EXPECT_GT(r.trace.total_photons, 0u);
-}
-
 TEST(Simulator, AdaptiveBatchesGrow) {
   // Table 5.3's adaptive batch sizing is serial-only: the controller's size
   // sequence surfaces as rank 0's batch_sizes, starting at the policy's

@@ -12,14 +12,6 @@
 namespace photon {
 namespace {
 
-// The reference run_spatial must reproduce: the same per-photon streams
-// traced serially against the full (replicated) index.
-RunResult run_photon_streams(const Scene& scene, const RunConfig& config) {
-  RunConfig reference = config;
-  reference.photon_streams = true;
-  return run_serial(scene, reference);
-}
-
 TEST(PartitionSpace, TilesTheSceneBounds) {
   const Scene s = scenes::cornell_box();
   for (const int P : {1, 2, 3, 4, 8}) {
@@ -106,7 +98,7 @@ TEST_P(SpatialSimTest, MatchesFullOctreeReference) {
 
   cfg.workers = P;
   const RunResult spatial = run_spatial(s, cfg);
-  const RunResult reference = run_photon_streams(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
 
   EXPECT_EQ(spatial.counters.emitted, reference.counters.emitted);
   EXPECT_EQ(spatial.counters.bounces, reference.counters.bounces);
@@ -130,7 +122,7 @@ TEST_P(SpatialSimTest, OpenSceneEscapesAreCounted) {
   cfg.batch = 250;
   cfg.workers = P;
   const RunResult spatial = run_spatial(s, cfg);
-  const RunResult reference = run_photon_streams(s, cfg);
+  const RunResult reference = run_serial(s, cfg);
   EXPECT_EQ(spatial.counters.escaped, reference.counters.escaped);
   EXPECT_EQ(spatial.counters.absorbed, reference.counters.absorbed);
 }
@@ -181,7 +173,7 @@ TEST(SpatialSim, TalliesLandOnOwners) {
   EXPECT_EQ(tallies, r.counters.emitted + r.counters.bounces);
 }
 
-// (spatial@1 == the photon-stream reference, bitwise per scene, is pinned by
+// (spatial@1 == the serial reference, bitwise per scene, is pinned by
 // the conformance suite; the per-batch sweep below keeps the exchange-
 // threshold coverage.)
 
@@ -215,7 +207,7 @@ TEST(SpatialSim, OneRankIsBitwiseReferenceAtAnyBatch) {
     cfg.batch = batch;
     cfg.workers = 1;
     const RunResult spatial = run_spatial(s, cfg);
-    const RunResult reference = run_photon_streams(s, cfg);
+    const RunResult reference = run_serial(s, cfg);
     EXPECT_TRUE(spatial.forest == reference.forest) << "batch=" << batch;
   }
 }
